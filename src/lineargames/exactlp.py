@@ -45,20 +45,26 @@ class LinearSystem:
     variables: list[str] = field(default_factory=list)
     constraints: list[Constraint] = field(default_factory=list)
     objective: Optional[tuple[tuple[Fraction, ...], str]] = None  # (coeffs, 'max'|'min')
+    _index: dict[str, int] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._index = {name: j for j, name in enumerate(self.variables)}
 
     def var(self, name: str) -> int:
-        if name not in self.variables:
+        if name not in self._index:
             if self.constraints or self.objective:
                 raise LPError("declare all variables before adding rows")
+            self._index[name] = len(self.variables)
             self.variables.append(name)
-        return self.variables.index(name)
+        return self._index[name]
 
     def _vector(self, terms: dict[str, Fraction]) -> tuple[Fraction, ...]:
         vec = [Fraction(0)] * len(self.variables)
         for name, c in terms.items():
-            if name not in self.variables:
+            j = self._index.get(name)
+            if j is None:
                 raise LPError(f"unknown variable {name!r}")
-            vec[self.variables.index(name)] += Fraction(c)
+            vec[j] += Fraction(c)
         return tuple(vec)
 
     def add(self, terms: dict[str, Fraction], rel: str, rhs) -> None:
@@ -101,7 +107,7 @@ class LPResult:
         return self.status == "feasible"
 
 
-def solve(system: LinearSystem, debug: bool = False) -> LPResult:
+def solve(system: LinearSystem) -> LPResult:
     """Exact verdict on a linear system, optimizing its objective if any.
 
     Strict rows are satisfied strictly by any returned point.  When strict
@@ -116,7 +122,7 @@ def solve(system: LinearSystem, debug: bool = False) -> LPResult:
 
     strict_rows = [c for c in system.constraints if c.rel == LT]
     if not strict_rows:
-        return _solve_weak(system, system.constraints, system.objective, debug)
+        return _solve_weak(system, system.constraints, system.objective)
 
     # Margin pass: maximize eps added to every strict row, capped at 1.
     eps_idx = nvars
@@ -132,7 +138,7 @@ def solve(system: LinearSystem, debug: bool = False) -> LPResult:
     rows.append(Constraint(floor, LEQ, Fraction(0)))  # eps >= 0
     obj = (cap, "max")
 
-    status, x, opt = _simplex_solve(nvars + 1, rows, obj, debug)
+    status, x, opt = _simplex_solve(nvars + 1, rows, obj)
     if status == "infeasible" or (status == "feasible" and opt <= 0):
         return LPResult("infeasible")
     if status == "unbounded":  # cannot happen: eps is capped
@@ -146,30 +152,30 @@ def solve(system: LinearSystem, debug: bool = False) -> LPResult:
     half = opt / 2
     pinned = rows[:-2] + [Constraint(floor, LEQ, -half)]
     user = (system.objective[0] + (Fraction(0),), system.objective[1])
-    status, x, opt = _simplex_solve(nvars + 1, pinned, user, debug)
+    status, x, opt = _simplex_solve(nvars + 1, pinned, user)
     if status != "feasible":
         return LPResult(status)
     point = dict(zip(system.variables, x[:nvars]))
     return LPResult("feasible", point, opt)
 
 
-def strictly_feasible(system: LinearSystem, debug: bool = False):
+def strictly_feasible(system: LinearSystem):
     """A point meeting all weak rows and all strict rows strictly, or None."""
-    result = solve(system, debug)
+    result = solve(system)
     return result.point if result.feasible else None
 
 
 # -- simplex core -----------------------------------------------------------
 
 
-def _solve_weak(system, rows, objective, debug) -> LPResult:
-    status, x, opt = _simplex_solve(len(system.variables), rows, objective, debug)
+def _solve_weak(system, rows, objective) -> LPResult:
+    status, x, opt = _simplex_solve(len(system.variables), rows, objective)
     if status != "feasible":
         return LPResult(status)
     return LPResult("feasible", dict(zip(system.variables, x)), opt)
 
 
-def _simplex_solve(nvars, rows, objective, debug=False):
+def _simplex_solve(nvars, rows, objective):
     """min/max over free variables; returns (status, point, optimum).
 
     Free variables are split (x = u - w), slacks added for inequalities,
@@ -210,7 +216,7 @@ def _simplex_solve(nvars, rows, objective, debug=False):
     if sense == "max":
         cost = [-a for a in cost]
 
-    tab = _Tableau(A, b, debug)
+    tab = _Tableau(A, b)
     if not tab.phase_one(slack_basis):
         return "infeasible", None, None
     status, opt = tab.phase_two(cost)
@@ -226,13 +232,12 @@ def _simplex_solve(nvars, rows, objective, debug=False):
 class _Tableau:
     """Dense simplex tableau over Fractions with Bland's pivot rule."""
 
-    def __init__(self, A, b, debug=False):
+    def __init__(self, A, b):
         self.m = len(A)
         self.ncols = len(A[0]) if A else 0
         self.A = [row[:] for row in A]
         self.b = b[:]
         self.basis: list[int] = []
-        self.debug = debug
 
     def phase_one(self, slack_basis) -> bool:
         # Slacks seed the basis where possible; artificials fill the rest
@@ -252,7 +257,8 @@ class _Tableau:
             return True
         cost = [Fraction(0)] * n0 + [Fraction(1)] * len(art_rows)
         status, opt = self._optimize(cost)
-        assert status == "feasible"  # phase one is always bounded below by 0
+        if status != "feasible":  # the artificial sum is bounded below by 0
+            raise LPError("phase one reported an unbounded artificial sum")
         if opt != 0:
             return False
         self._purge_artificials(n0)
@@ -322,8 +328,6 @@ class _Tableau:
                 self.A[i] = [a - f * p for a, p in zip(self.A[i], self.A[row])]
                 self.b[i] -= f * self.b[row]
         self.basis[row] = col
-        if self.debug:
-            print(f"pivot r{row} c{col}: basis={self.basis} b={self.b}")
 
     def solution(self) -> list[Fraction]:
         xs = [Fraction(0)] * self.ncols

@@ -118,7 +118,6 @@ class LinearGame:
         for m in range(1, 1 << self.n):
             if not bits >> m & 1:
                 continue
-            sub = m
             ok = True
             for i in range(self.n):
                 if m >> i & 1 and bits >> (m & ~(1 << i)) & 1:
@@ -263,10 +262,6 @@ def hierarchy(v: LinearGame) -> Hierarchy:
             runs.append([i])
     dummies = tuple(v.dummies())
     return Hierarchy(tuple(tuple(r) for r in runs), dummies)
-
-
-def make_game(n: int, generators) -> LinearGame:
-    return LinearGame(n, generators)
 
 
 def consensus_game(n: int) -> LinearGame:

@@ -6,6 +6,10 @@ facets over the weight-equality and zero-weight faces of the simplex.
 Every facet decision is a strict-feasibility LP: a constraint is a facet
 iff a point exists on its hyperplane with all other generating
 constraints strict.
+
+The half-spaces and their LP rows are defined in `weightedness`, which
+builds every quota-weight LP; `polytope_constraints` here is the same
+half-space list behind a check that the game is weighted.
 """
 
 from __future__ import annotations
@@ -13,22 +17,25 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
-from .coalitions import Coalition, empty_coalition, format_coalition
-from .exactlp import LinearSystem, strictly_feasible
+from .coalitions import Coalition, format_coalition
+from .exactlp import strictly_feasible
 from .games import GameError, Hierarchy, LinearGame, game_from_winning_bitmap
 from .weightedness import (
+    BOTTOM,
+    DUMMY_FACE,
+    TOP,
+    VERTICAL,
+    HalfSpace,
     Realization,
-    base_weight_system,
-    coalition_terms,
+    add_halfspace,
+    difference_terms,
+    generating_halfspaces,
     is_weighted,
+    point_weights,
+    polytope_system,
+    weight_system,
 )
-
-TOP = "top"
-BOTTOM = "bottom"
-VERTICAL = "vertical"
-DUMMY_FACE = "dummy_face"
 
 
 class GenericityError(ValueError):
@@ -40,30 +47,6 @@ class GenericityError(ValueError):
             f"weights not generic: coalitions {format_coalition(a)} and "
             f"{format_coalition(b)} have equal weight"
         )
-
-
-@dataclass(frozen=True)
-class HalfSpace:
-    """One generating constraint of a realization polytope.
-
-    top(A): q <= w_A (closed);  bottom(B): q > w_B (open);
-    vertical(i): w_{i+1} >= w_i;  dummy_face: w_1 >= 0.
-    """
-
-    kind: str
-    coalition: Optional[Coalition] = None
-    index: Optional[int] = None
-
-    def describe(self) -> str:
-        if self.kind == TOP:
-            return f"top q = w_{format_coalition(self.coalition)}"
-        if self.kind == BOTTOM:
-            if self.coalition.mask == 0:
-                return "bottom q = 0"
-            return f"bottom q = w_{format_coalition(self.coalition)}"
-        if self.kind == VERTICAL:
-            return f"vertical w_{self.index + 1} = w_{self.index}"
-        return "vertical w_1 = 0"
 
 
 @dataclass(frozen=True)
@@ -123,54 +106,7 @@ def polytope_constraints(v: LinearGame) -> list[HalfSpace]:
     """The irredundant generating half-spaces of the realization polytope."""
     if is_weighted(v) is None:
         raise GameError(f"{v} is unweighted: empty polytope")
-    out = [HalfSpace(TOP, coalition=g) for g in v.generators]
-    losers = v.shift_maximal_losing()
-    if losers:
-        out.extend(HalfSpace(BOTTOM, coalition=b) for b in losers)
-    else:
-        out.append(HalfSpace(BOTTOM, coalition=empty_coalition(v.n)))
-    out.extend(HalfSpace(VERTICAL, index=i) for i in range(1, v.n))
-    out.append(HalfSpace(DUMMY_FACE))
-    return out
-
-
-def _halfspace_terms(hs: HalfSpace) -> tuple[dict[str, Fraction], str]:
-    """(terms, direction) with the constraint read as terms >=/> 0."""
-    if hs.kind == TOP:
-        terms = coalition_terms(hs.coalition)
-        terms["q"] = terms.get("q", Fraction(0)) - 1
-        return terms, "geq"  # w_A - q >= 0
-    if hs.kind == BOTTOM:
-        terms = coalition_terms(hs.coalition, Fraction(-1))
-        terms["q"] = terms.get("q", Fraction(0)) + 1
-        return terms, "gt"  # q - w_B > 0
-    if hs.kind == VERTICAL:
-        i = hs.index
-        return {f"w{i + 1}": Fraction(1), f"w{i}": Fraction(-1)}, "geq"
-    return {"w1": Fraction(1)}, "geq"
-
-
-def _ambient_system(n: int) -> LinearSystem:
-    sys = LinearSystem()
-    sys.var("q")
-    for i in range(1, n + 1):
-        sys.var(f"w{i}")
-    sys.eq({f"w{i}": Fraction(1) for i in range(1, n + 1)}, 1)
-    return sys
-
-
-def _add_halfspace(sys: LinearSystem, hs: HalfSpace, mode: str) -> None:
-    """mode: 'weak' | 'strict' | 'equal'."""
-    terms, _ = _halfspace_terms(hs)
-    if mode == "equal":
-        sys.eq(terms, 0)
-    elif mode == "strict":
-        sys.gt(terms, 0)
-    else:
-        if hs.kind == BOTTOM:
-            sys.gt(terms, 0)  # bottoms are strict even in 'weak' mode
-        else:
-            sys.geq(terms, 0)
+    return generating_halfspaces(v)
 
 
 def classify_facets(v: LinearGame) -> PolytopeReport:
@@ -184,18 +120,15 @@ def classify_facets(v: LinearGame) -> PolytopeReport:
     tops, bottoms, verticals = [], [], []
     witnesses = {}
     for candidate in constraints:
-        sys = _ambient_system(v.n)
-        _add_halfspace(sys, candidate, "equal")
+        sys = weight_system(v.n)
+        add_halfspace(sys, candidate, "equal")
         for other in constraints:
-            if other is candidate:
-                continue
-            _add_halfspace(sys, other, "strict")
+            if other is not candidate:
+                add_halfspace(sys, other, "strict")
         point = strictly_feasible(sys)
         if point is None:
             continue
-        q = point["q"]
-        ws = tuple(point[f"w{i}"] for i in range(1, v.n + 1))
-        witnesses[candidate] = (q, ws)
+        witnesses[candidate] = (point["q"], point_weights(point, v.n))
         if candidate.kind == TOP:
             tops.append(candidate.coalition)
         elif candidate.kind == BOTTOM:
@@ -248,12 +181,9 @@ def footprint_hierarchy(v: LinearGame) -> Hierarchy:
     if is_weighted(v) is None:
         raise GameError(f"{v} is unweighted: empty footprint")
     n = v.n
-    constraints = polytope_constraints(v)
     for k in range(1, n + 1):
         for vertices in itertools.combinations(range(1, n + 1), k):
-            sys = _ambient_system(n)
-            for hs in constraints:
-                _add_halfspace(sys, hs, "weak")
+            sys = polytope_system(v)
             _add_subsimplex_equalities(sys, n, vertices)
             if strictly_feasible(sys) is not None:
                 return _hierarchy_from_vertices(n, vertices)
@@ -267,9 +197,9 @@ def _add_subsimplex_equalities(sys, n, vertices) -> None:
     for lo, hi in zip(bounds, bounds[1:]):
         # voters n-lo, ..., n-hi+1 form one class
         for t in range(n - hi + 1, n - lo):
-            sys.eq({f"w{t + 1}": Fraction(1), f"w{t}": Fraction(-1)}, 0)
+            sys.eq(difference_terms(1 << t, 1 << (t - 1)), 0)
     for t in range(1, n - vertices[-1] + 1):
-        sys.eq({f"w{t}": Fraction(1)}, 0)
+        sys.eq(difference_terms(1 << (t - 1)), 0)
 
 
 def _hierarchy_from_vertices(n, vertices) -> Hierarchy:
@@ -347,14 +277,14 @@ def symmetric_games_above_corner(n: int, j: int):
 
 def interior_point(v: LinearGame):
     """A strictly interior quota-weight point of the realization polytope."""
-    sys = _ambient_system(v.n)
+    sys = weight_system(v.n)
     for hs in polytope_constraints(v):
-        _add_halfspace(sys, hs, "strict")
+        add_halfspace(sys, hs, "strict")
     sys.lt({"q": Fraction(1)}, 1)
     point = strictly_feasible(sys)
     if point is None:
         raise GameError(f"{v} has no interior realization")
-    return point["q"], tuple(point[f"w{i}"] for i in range(1, v.n + 1))
+    return point["q"], point_weights(point, v.n)
 
 
 def _strictly_inside(v: LinearGame, q: Fraction, ws) -> bool:

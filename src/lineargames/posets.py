@@ -17,7 +17,7 @@ from math import comb
 from typing import Optional
 
 from .coalitions import Coalition, format_coalition
-from .exactlp import LinearSystem, strictly_feasible
+from .exactlp import strictly_feasible
 from .games import (
     GameError,
     LinearGame,
@@ -27,7 +27,14 @@ from .games import (
     j_covers,
     weakest_voter_game,
 )
-from .weightedness import is_weighted
+from .weightedness import (
+    add_halfspace,
+    difference_terms,
+    is_weighted,
+    point_weights,
+    simplex_halfspaces,
+    weight_system,
+)
 
 KINDS = ("J", "J_plus", "Pi", "W", "W_plus")
 
@@ -320,32 +327,20 @@ def _embedded_copy_contradiction(order: GeneratorOrder, n: int) -> Optional[str]
 
 
 def _order_witness(order: GeneratorOrder, n: int):
-    sys = LinearSystem()
-    for i in range(1, n + 1):
-        sys.var(f"w{i}")
-    sys.eq({f"w{i}": Fraction(1) for i in range(1, n + 1)}, 1)
-    for i in range(1, n):
-        sys.geq({f"w{i + 1}": Fraction(1), f"w{i}": Fraction(-1)}, 0)
-    sys.geq({"w1": Fraction(1)}, 0)
-
-    def diff_terms(a: Coalition, b: Coalition) -> dict[str, Fraction]:
-        terms: dict[str, Fraction] = {}
-        for i in a.members():
-            terms[f"w{i}"] = terms.get(f"w{i}", Fraction(0)) + 1
-        for i in b.members():
-            terms[f"w{i}"] = terms.get(f"w{i}", Fraction(0)) - 1
-        return terms
-
+    # The quota variable stays free and unconstrained: only weights matter.
+    sys = weight_system(n)
+    for hs in simplex_halfspaces(n):
+        add_halfspace(sys, hs)
     seq = order.sequence
     for a, b in zip(seq, seq[1:]):  # consecutive strict rows suffice
-        sys.lt(diff_terms(a, b), 0)
+        sys.lt(difference_terms(a.mask, b.mask), 0)
     if seq:
         for g in order.top_generators:
-            sys.lt(diff_terms(seq[-1], g), 0)
+            sys.lt(difference_terms(seq[-1].mask, g.mask), 0)
     point = strictly_feasible(sys)
     if point is None:
         return None
-    return tuple(point[f"w{i}"] for i in range(1, n + 1))
+    return point_weights(point, n)
 
 
 @dataclass(frozen=True)

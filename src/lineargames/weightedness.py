@@ -5,6 +5,14 @@ or above the quota and every shift-maximal losing coalition strictly
 below it.  That system is decided by the exact LP engine; a positive
 verdict comes with an exact realization, a negative one can be
 complemented by a trade-robustness failure certificate.
+
+Every quota-weight LP in the package is built here, from the generating
+half-spaces of the realization polytope.  `weight_system` declares q,
+w1..wn and w1 + ... + wn = 1; `polytope_system` adds one row per
+`HalfSpace`; the facet, footprint and chain LPs add the same rows in
+equal or strict form.  No row bounds q itself: the dummy face and the
+verticals make every weight nonnegative, so q <= w_A <= 1 follows from a
+top row and q > w_B >= 0 from a bottom row.
 """
 
 from __future__ import annotations
@@ -15,8 +23,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .coalitions import Coalition, empty_coalition, format_coalition
-from .exactlp import LinearSystem, strictly_feasible
-from .games import GameError, LinearGame, game_from_winning_bitmap
+from .exactlp import LinearSystem, LPError, strictly_feasible
+from .games import GameError, LinearGame, format_game, game_from_winning_bitmap
 
 
 @dataclass(frozen=True)
@@ -66,8 +74,11 @@ def parse_realization(text: str) -> Realization:
     head, _, tail = text[1:-1].partition(":")
     if not tail:
         raise GameError(f"missing ':' in realization {text!r}")
-    q = Fraction(head.strip())
-    ws = tuple(Fraction(tok.strip()) for tok in tail.split(","))
+    try:
+        q = Fraction(head.strip())
+        ws = tuple(Fraction(tok.strip()) for tok in tail.split(","))
+    except ZeroDivisionError:
+        raise GameError(f"zero denominator in realization {text!r}") from None
     return Realization(q, tuple(reversed(ws)))
 
 
@@ -87,30 +98,109 @@ def normalized_realization(quota, raw_weights) -> Realization:
     return Realization(Fraction(quota) / total, tuple(w / total for w in reversed(ws)))
 
 
-# -- the weightedness LP -----------------------------------------------------
+# -- the realization polytope and its LP -------------------------------------
+
+TOP = "top"
+BOTTOM = "bottom"
+VERTICAL = "vertical"
+DUMMY_FACE = "dummy_face"
 
 
-def base_weight_system(n: int) -> LinearSystem:
-    """Variables q, w1..wn with the normalization and ordering constraints."""
+@dataclass(frozen=True)
+class HalfSpace:
+    """One generating constraint of a realization polytope.
+
+    top(A): q <= w_A (closed);  bottom(B): q > w_B (open);
+    vertical(i): w_{i+1} >= w_i;  dummy_face: w_1 >= 0.
+    """
+
+    kind: str
+    coalition: Optional[Coalition] = None
+    index: Optional[int] = None
+
+    def describe(self) -> str:
+        if self.kind == TOP:
+            return f"top q = w_{format_coalition(self.coalition)}"
+        if self.kind == BOTTOM:
+            if self.coalition.mask == 0:
+                return "bottom q = 0"
+            return f"bottom q = w_{format_coalition(self.coalition)}"
+        if self.kind == VERTICAL:
+            return f"vertical w_{self.index + 1} = w_{self.index}"
+        return "vertical w_1 = 0"
+
+    def terms(self) -> dict[str, int]:
+        """The constraint read as terms >= 0 (terms > 0 for a bottom)."""
+        if self.kind == TOP:
+            return difference_terms(self.coalition.mask, q=-1)
+        if self.kind == BOTTOM:
+            return difference_terms(0, self.coalition.mask, q=1)
+        if self.kind == VERTICAL:
+            return difference_terms(1 << self.index, 1 << (self.index - 1))
+        return difference_terms(1)
+
+
+def difference_terms(plus: int, minus: int = 0, q: int = 0) -> dict[str, int]:
+    """LP terms of w_A - w_B + q * q for coalition masks A and B."""
+    terms = {"q": q} if q else {}
+    i = 0
+    while (plus | minus) >> i:
+        c = (plus >> i & 1) - (minus >> i & 1)
+        if c:
+            terms[f"w{i + 1}"] = c
+        i += 1
+    return terms
+
+
+def simplex_halfspaces(n: int) -> list[HalfSpace]:
+    """The vertical and dummy faces: w_n >= ... >= w_1 >= 0."""
+    out = [HalfSpace(VERTICAL, index=i) for i in range(1, n)]
+    out.append(HalfSpace(DUMMY_FACE))
+    return out
+
+
+def generating_halfspaces(v: LinearGame) -> list[HalfSpace]:
+    """Tops over the generators, bottoms under the shift-maximal losing
+    coalitions (or q > 0 when only the empty coalition loses), then the
+    simplex faces."""
+    out = [HalfSpace(TOP, coalition=g) for g in v.generators]
+    losers = v.shift_maximal_losing() or [empty_coalition(v.n)]
+    out.extend(HalfSpace(BOTTOM, coalition=b) for b in losers)
+    return out + simplex_halfspaces(v.n)
+
+
+def weight_system(n: int) -> LinearSystem:
+    """Variables q, w1..wn and the normalization w1 + ... + wn = 1."""
     sys = LinearSystem()
     sys.var("q")
     for i in range(1, n + 1):
         sys.var(f"w{i}")
-    sys.eq({f"w{i}": Fraction(1) for i in range(1, n + 1)}, 1)
-    for i in range(1, n):
-        sys.geq({f"w{i + 1}": Fraction(1), f"w{i}": Fraction(-1)}, 0)
-    sys.geq({"w1": Fraction(1)}, 0)
-    sys.leq({"q": Fraction(1)}, 1)
-    sys.gt({"q": Fraction(1)}, 0)
+    sys.eq(difference_terms((1 << n) - 1), 1)
     return sys
 
 
-def coalition_terms(a: Coalition, coeff=Fraction(1)) -> dict[str, Fraction]:
-    return {f"w{i}": Fraction(coeff) for i in a.members()}
+def add_halfspace(sys: LinearSystem, hs: HalfSpace, mode: str = "weak") -> None:
+    """mode 'weak' adds hs as written, 'strict' makes it strict, 'equal'
+    puts the point on its hyperplane."""
+    terms = hs.terms()
+    if mode == "equal":
+        sys.eq(terms, 0)
+    elif mode == "strict" or hs.kind == BOTTOM:
+        sys.gt(terms, 0)
+    else:
+        sys.geq(terms, 0)
 
 
-def _point_to_realization(point: dict[str, Fraction], n: int) -> Realization:
-    return Realization(point["q"], tuple(point[f"w{i}"] for i in range(1, n + 1)))
+def polytope_system(v: LinearGame) -> LinearSystem:
+    """The realization polytope of v as an LP system over q, w1..wn."""
+    sys = weight_system(v.n)
+    for hs in generating_halfspaces(v):
+        add_halfspace(sys, hs)
+    return sys
+
+
+def point_weights(point: dict[str, Fraction], n: int) -> tuple[Fraction, ...]:
+    return tuple(point[f"w{i}"] for i in range(1, n + 1))
 
 
 _weighted_cache: dict[LinearGame, Optional[Realization]] = {}
@@ -124,22 +214,18 @@ def is_weighted(v: LinearGame) -> Optional[Realization]:
     """
     if v in _weighted_cache:
         return _weighted_cache[v]
-    sys = base_weight_system(v.n)
-    for g in v.generators:
-        terms = coalition_terms(g)
-        terms["q"] = terms.get("q", Fraction(0)) - 1
-        sys.geq(terms, 0)  # w_g - q >= 0
-    for b in v.shift_maximal_losing():
-        terms = coalition_terms(b)
-        terms["q"] = terms.get("q", Fraction(0)) - 1
-        sys.lt(terms, 0)  # w_b - q < 0
-    point = strictly_feasible(sys)
+    point = strictly_feasible(polytope_system(v))
     result = None
     if point is not None:
-        result = _point_to_realization(point, v.n)
-        assert verify_realization(v, result)
+        result = Realization(point["q"], point_weights(point, v.n))
+        _check_realization(v, result)
     _weighted_cache[v] = result
     return result
+
+
+def _check_realization(v: LinearGame, r: Realization) -> None:
+    if not verify_realization(v, r):
+        raise LPError(f"LP point {r} does not realize {format_game(v)}")
 
 
 def verify_realization(v: LinearGame, r: Realization) -> bool:
@@ -225,7 +311,8 @@ def find_trade_failure(
                     tuple(Coalition(n, m) for m in xs),
                     tuple(Coalition(n, m) for m in ys),
                 )
-                assert check_certificate(v, cert)
+                if not check_certificate(v, cert):
+                    raise LPError(f"trade search produced a bad certificate {cert}")
                 return cert
     return None
 
@@ -265,21 +352,6 @@ def _losing_rearrangement(counts, j, losing, bits, n):
 # -- the footprint method ----------------------------------------------------
 
 
-def polytope_system(v: LinearGame) -> LinearSystem:
-    """The realization polytope of v as an LP system over q, w1..wn:
-    generators at or above the quota, shift-maximal losers strictly below."""
-    sys = base_weight_system(v.n)
-    for g in v.generators:
-        terms = coalition_terms(g)
-        terms["q"] = terms.get("q", Fraction(0)) - 1
-        sys.geq(terms, 0)
-    for b in v.shift_maximal_losing():
-        terms = coalition_terms(b)
-        terms["q"] = terms.get("q", Fraction(0)) - 1
-        sys.lt(terms, 0)
-    return sys
-
-
 def footprint_weighted_cover(v: LinearGame, a: Coalition):
     """Decide weightedness of the cover u of v with W_u = W_v minus {a}.
 
@@ -297,20 +369,17 @@ def footprint_weighted_cover(v: LinearGame, a: Coalition):
     u = game_from_winning_bitmap(remaining, v.n)
     sys = polytope_system(v)
     for g in u.generators:
-        terms = coalition_terms(a)
-        for name, c in coalition_terms(g, Fraction(-1)).items():
-            terms[name] = terms.get(name, Fraction(0)) + c
-        sys.lt(terms, 0)  # w_a - w_g < 0
+        sys.lt(difference_terms(a.mask, g.mask), 0)  # w_a - w_g < 0
     point = strictly_feasible(sys)
     if point is None:
         return False, None
-    weights = tuple(point[f"w{i}"] for i in range(1, v.n + 1))
+    weights = point_weights(point, v.n)
     w_a = sum(weights[i - 1] for i in a.members())
     w_min = min(
         sum(weights[i - 1] for i in g.members()) for g in u.generators
     )
     realization = Realization((w_a + w_min) / 2, weights)
-    assert verify_realization(u, realization)
+    _check_realization(u, realization)
     return True, realization
 
 
@@ -329,20 +398,17 @@ def footprint_weighted_covered(u: LinearGame, b: Coalition):
     sys = polytope_system(u)
     lower_losers = v.shift_maximal_losing()
     for c in lower_losers:
-        terms = coalition_terms(b)
-        for name, coeff in coalition_terms(c, Fraction(-1)).items():
-            terms[name] = terms.get(name, Fraction(0)) + coeff
-        sys.gt(terms, 0)  # w_b - w_c > 0
+        sys.gt(difference_terms(b.mask, c.mask), 0)  # w_b - w_c > 0
     if not lower_losers:
-        sys.gt(coalition_terms(b), 0)  # only the empty coalition loses below b
+        sys.gt(difference_terms(b.mask), 0)  # only the empty coalition loses below b
     point = strictly_feasible(sys)
     if point is None:
         return False, None
-    weights = tuple(point[f"w{i}"] for i in range(1, u.n + 1))
+    weights = point_weights(point, u.n)
     coal_w = lambda c: sum(weights[i - 1] for i in c.members())
     w_top = min(coal_w(g) for g in v.generators)
     losers = v.shift_maximal_losing()
     w_low = max((coal_w(c) for c in losers), default=Fraction(0))
     realization = Realization((w_top + w_low) / 2, weights)
-    assert verify_realization(v, realization)
+    _check_realization(v, realization)
     return True, realization

@@ -9,8 +9,8 @@ exact vertex enumeration for both LP systems and polytope facets.
 from fractions import Fraction
 from itertools import combinations
 
-from lineargames import Coalition, LinearGame
-from lineargames.geometry import polytope_constraints, _halfspace_terms
+from lineargames import BOTTOM, TOP, VERTICAL, Coalition, LinearGame
+from lineargames.geometry import polytope_constraints
 
 
 def brute_shift_leq(a_members, b_members) -> bool:
@@ -137,12 +137,8 @@ def facet_oracle(v: LinearGame):
     enumeration: a generating constraint is a facet iff its tight vertex
     set has affine rank dim - 1."""
     n = v.n
-    names = ["q"] + [f"w{i}" for i in range(1, n + 1)]
     hss = polytope_constraints(v)
-    rows = []
-    for hs in hss:
-        terms, _ = _halfspace_terms(hs)
-        rows.append([terms.get(nm, Fraction(0)) for nm in names])
+    rows = [_halfspace_row(hs, n) for hs in hss]
     eqvec = [Fraction(0)] + [Fraction(1)] * n
     dim = n  # affine dimension after the normalization equality
     verts = set()
@@ -164,6 +160,27 @@ def facet_oracle(v: LinearGame):
         if _affine_rank(tight) == dim - 1:
             facets.append(hss[k])
     return verts, facets
+
+
+def _halfspace_row(hs, n):
+    """Coefficients over (q, w_1, ..., w_n) of the half-space read as
+    row . x >= 0: top w_A - q, bottom q - w_B, vertical w_{i+1} - w_i,
+    dummy face w_1."""
+    row = [Fraction(0)] * (n + 1)
+    if hs.kind == TOP:
+        row[0] = Fraction(-1)
+        for i in hs.coalition.members():
+            row[i] = Fraction(1)
+    elif hs.kind == BOTTOM:
+        row[0] = Fraction(1)
+        for i in hs.coalition.members():
+            row[i] = Fraction(-1)
+    elif hs.kind == VERTICAL:
+        row[hs.index + 1] = Fraction(1)
+        row[hs.index] = Fraction(-1)
+    else:
+        row[1] = Fraction(1)
+    return row
 
 
 def random_linear_game(rnd, n: int) -> LinearGame:

@@ -82,6 +82,14 @@ class TestRealize:
         code, out = capture(capsys, bad)
         assert code == 1 and "does not realize" in out
 
+    @pytest.mark.parametrize(
+        "text", ["(1/0: 1,1,1,1)", "(1/2: 1/0,1,1,1)"]
+    )
+    def test_check_zero_denominator_is_usage_error(self, capsys, text):
+        argv = ["realize", "<321;43>", "-n", "4", "--check", text]
+        assert run(argv) == 2
+        assert "realization grammar" in capsys.readouterr().err
+
     def test_json_output(self, capsys):
         code, out = capture(
             capsys, ["realize", "<321;43>", "-n", "4", "--json"]

@@ -6,6 +6,7 @@ import pytest
 from lineargames import (
     Coalition,
     GameError,
+    LPError,
     Realization,
     TradeCertificate,
     check_certificate,
@@ -21,6 +22,7 @@ from lineargames import (
     strictly_feasible,
     verify_realization,
 )
+from lineargames import weightedness
 from lineargames.weightedness import polytope_system
 
 from test_games import all_games
@@ -113,6 +115,13 @@ class TestIsWeighted:
         v = parse_game("<6531>", 7)
         assert v.classify()["proper"]
         assert is_weighted(v) is None
+
+    def test_failed_self_check_raises(self, monkeypatch):
+        # The check must hold under python -O, where asserts are stripped.
+        monkeypatch.setattr(weightedness, "_weighted_cache", {})
+        monkeypatch.setattr(weightedness, "verify_realization", lambda v, r: False)
+        with pytest.raises(LPError):
+            is_weighted(parse_game("<321;43>", 4))
 
 
 class TestTradeRobustness:
