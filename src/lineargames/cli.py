@@ -5,8 +5,18 @@ files, no environment variables, no randomness, so repeated invocations
 are byte-identical.  Numeric output is exact fractions; --approx appends
 decimal renderings for display only.
 
-Exit codes: 0 success, 1 negative-but-valid domain verdict (verify-paper
-mismatch, inconsistent chain under --strict), 2 usage error.
+Exit codes: 0 success, 2 usage error, 1 a negative-but-valid domain
+verdict, which is one of:
+
+- `realize` on an unweighted game, or a `realize --check` that fails;
+- `facets` on an unweighted game;
+- `hierarchy --geometric` on an unweighted game, or when the geometric
+  hierarchy disagrees;
+- an inconsistent `chain`;
+- a `verify-paper` mismatch;
+- `trade-search` on an unweighted game when no trade failure is found
+  within the bound;
+- `conjecture-probe` finding a counterexample.
 """
 
 from __future__ import annotations

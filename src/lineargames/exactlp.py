@@ -1,19 +1,25 @@
 """Exact rational linear programming.
 
-All arithmetic is over `fractions.Fraction`; there is no floating-point
-path anywhere, so verdicts on ties and strict inequalities are exact.
-Strict constraints are decided by the shared-margin transform: a single
-margin variable is added to every strict row and maximized; the system is
-strictly feasible iff the optimal margin is positive.
+The API is over `fractions.Fraction`: rows, right-hand sides, returned
+points and optima.  There is no floating-point path anywhere, so verdicts
+on ties and strict inequalities are exact.  Strict constraints are decided
+by the shared-margin transform: a single margin variable is added to every
+strict row and maximized; the system is strictly feasible iff the optimal
+margin is positive.
 
 The simplex core is a dense two-phase tableau with Bland's anti-cycling
 pivot rule.  Free variables are split into positive and negative parts.
+The tableau holds Python `int` rows: each row is scaled once to integers
+and kept as a positive multiple of its rational row (fraction-free
+elimination with row gcds), so every sign and ratio test, and therefore
+every pivot and vertex, is the one the rational tableau would take.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional
 
 LEQ = "<="
@@ -178,88 +184,114 @@ def _solve_weak(system, rows, objective) -> LPResult:
 def _simplex_solve(nvars, rows, objective):
     """min/max over free variables; returns (status, point, optimum).
 
-    Free variables are split (x = u - w), slacks added for inequalities,
-    then a two-phase dense simplex with Bland's rule runs on Fractions.
+    Free variables are split (x = u - w) and slacks added for inequalities.
+    Each row, with its rhs, is scaled once to integers by the lcm of its
+    denominators; the two-phase simplex with Bland's rule then runs on
+    `int` rows, and only the returned point and optimum are Fractions.
     """
     nslack = sum(1 for r in rows if r.rel == LEQ)
     ncols = 2 * nvars + nslack
-    A, b, slack_basis = [], [], []
+    A, b, scales, slack_basis = [], [], [], []
     si = 0
     for r in rows:
-        row = [Fraction(0)] * ncols
+        scale = lcm(r.rhs.denominator, *(a.denominator for a in r.coeffs))
+        row = [0] * ncols
         for j, a in enumerate(r.coeffs):
-            row[2 * j] = Fraction(a)
-            row[2 * j + 1] = -Fraction(a)
+            row[2 * j] = a.numerator * (scale // a.denominator)
+            row[2 * j + 1] = -row[2 * j]
         slack_col = None
         if r.rel == LEQ:
             slack_col = 2 * nvars + si
-            row[slack_col] = Fraction(1)
+            row[slack_col] = scale
             si += 1
-        rhs = Fraction(r.rhs)
+        rhs = r.rhs.numerator * (scale // r.rhs.denominator)
         if rhs < 0:
             row = [-a for a in row]
             rhs = -rhs
-            slack_col = None  # slack coefficient is now -1, unusable as basis
+            slack_col = None  # slack coefficient now negative: not a basis
         A.append(row)
         b.append(rhs)
+        scales.append(scale)
         slack_basis.append(slack_col)
 
-    if objective is None:
-        cost = [Fraction(0)] * ncols
-        sense = "min"
-    else:
+    # Only the signs of reduced costs steer the simplex, so the cost row
+    # may be scaled by any positive factor.
+    cost = [0] * ncols
+    if objective is not None:
         coeffs, sense = objective
-        cost = [Fraction(0)] * ncols
+        denom = lcm(*(a.denominator for a in coeffs))
+        if sense == "max":
+            denom = -denom
         for j, a in enumerate(coeffs):
-            cost[2 * j] = Fraction(a)
-            cost[2 * j + 1] = -Fraction(a)
-    if sense == "max":
-        cost = [-a for a in cost]
+            cost[2 * j] = a.numerator * (denom // a.denominator)
+            cost[2 * j + 1] = -cost[2 * j]
 
-    tab = _Tableau(A, b)
-    if not tab.phase_one(slack_basis):
+    tab = _Tableau(A, b, ncols)
+    if not tab.phase_one(slack_basis, scales):
         return "infeasible", None, None
-    status, opt = tab.phase_two(cost)
-    if status == "unbounded":
+    if tab.phase_two(cost) == "unbounded":
         return "unbounded", None, None
     xs = tab.solution()
     point = [xs[2 * j] - xs[2 * j + 1] for j in range(nvars)]
     if objective is None:
         return "feasible", point, None
-    return "feasible", point, (-opt if sense == "max" else opt)
+    return "feasible", point, sum(
+        (a * x for a, x in zip(objective[0], point)), Fraction(0)
+    )
+
+
+def _eliminate(row, rhs, prow, prhs, col):
+    """`row - (row[col] / prow[col]) * prow`, times `prow[col]` > 0, then
+    divided by the gcd of its entries: a positive multiple of the rational
+    update, so every sign and ratio is the rational tableau's."""
+    p, f = prow[col], row[col]
+    row = [a * p - f * c for a, c in zip(row, prow)]
+    rhs = rhs * p - f * prhs
+    g = gcd(rhs, *row)
+    if g > 1:
+        row = [a // g for a in row]
+        rhs //= g
+    return row, rhs
 
 
 class _Tableau:
-    """Dense simplex tableau over Fractions with Bland's pivot rule."""
+    """Dense simplex tableau on integer rows with Bland's pivot rule.
 
-    def __init__(self, A, b):
+    Row i stands for the rational row `A[i] / s`, `b[i] / s`, where the
+    scale s > 0 is the row's entry in its basic column.  The ratio test
+    compares `b[i] * A[l][k]` with `b[l] * A[i][k]`, which is the rational
+    comparison of `b / a` with both scales cancelled.
+    """
+
+    def __init__(self, A, b, ncols):
         self.m = len(A)
-        self.ncols = len(A[0]) if A else 0
-        self.A = [row[:] for row in A]
-        self.b = b[:]
+        self.ncols = ncols
+        self.A = A
+        self.b = b
         self.basis: list[int] = []
 
-    def phase_one(self, slack_basis) -> bool:
+    def phase_one(self, slack_basis, scales) -> bool:
         # Slacks seed the basis where possible; artificials fill the rest
-        # and their sum is minimized.
+        # and their sum is minimized.  An artificial enters its row at the
+        # row's scale, i.e. with rational coefficient 1.
         n0 = self.ncols
         self.basis = [0] * self.m
         art_rows = [i for i in range(self.m) if slack_basis[i] is None]
         for i in range(self.m):
             if slack_basis[i] is not None:
                 self.basis[i] = slack_basis[i]
+        for row in self.A:
+            row.extend([0] * len(art_rows))
         for t, i in enumerate(art_rows):
-            for k in range(self.m):
-                self.A[k].append(Fraction(1) if k == i else Fraction(0))
+            self.A[i][n0 + t] = scales[i]
             self.basis[i] = n0 + t
         self.ncols += len(art_rows)
         if not art_rows:
             return True
-        cost = [Fraction(0)] * n0 + [Fraction(1)] * len(art_rows)
-        status, opt = self._optimize(cost)
+        status, art_sum = self._optimize([0] * n0 + [1] * len(art_rows))
         if status != "feasible":  # the artificial sum is bounded below by 0
             raise LPError("phase one reported an unbounded artificial sum")
-        if opt != 0:
+        if art_sum != 0:
             return False
         self._purge_artificials(n0)
         return True
@@ -282,55 +314,59 @@ class _Tableau:
             del row[n0:]
         self.ncols = n0
 
-    def phase_two(self, cost):
-        return self._optimize(cost)
+    def phase_two(self, cost) -> str:
+        return self._optimize(cost)[0]
 
     def _optimize(self, cost):
+        """Run Bland's rule from the current basis.  Returns the status and
+        the reduced-cost row's rhs, a positive multiple of minus the
+        objective value."""
+        # Reduced costs `cost - sum_i cost[basis[i]] * row_i`, computed once
+        # and then updated on each pivot.  Basic columns stay exactly 0.
+        z, zb = cost[:], 0
+        for i, j in enumerate(self.basis):
+            if z[j] != 0:
+                z, zb = _eliminate(z, zb, self.A[i], self.b[i], j)
         while True:
-            # Reduced costs for the current basis.
-            y = [cost[self.basis[i]] for i in range(self.m)]
-            entering = None
-            for j in range(self.ncols):
-                if j in self.basis:
-                    continue
-                red = cost[j] - sum(y[i] * self.A[i][j] for i in range(self.m))
-                if red < 0:
-                    entering = j
-                    break  # Bland: lowest index wins
+            # Bland: the lowest column with a negative reduced cost enters.
+            entering = next((j for j, c in enumerate(z) if c < 0), None)
             if entering is None:
-                obj = sum(
-                    cost[self.basis[i]] * self.b[i] for i in range(self.m)
-                )
-                return "feasible", obj
+                return "feasible", zb
             # Ratio test, ties broken by lowest basis index (Bland).
-            leave, best = None, None
+            leave = None
             for i in range(self.m):
                 a = self.A[i][entering]
                 if a > 0:
-                    ratio = self.b[i] / a
-                    if (
-                        best is None
-                        or ratio < best
-                        or (ratio == best and self.basis[i] < self.basis[leave])
+                    if leave is None:
+                        leave = i
+                        continue
+                    lhs = self.b[i] * self.A[leave][entering]
+                    rhs = self.b[leave] * a
+                    if lhs < rhs or (
+                        lhs == rhs and self.basis[i] < self.basis[leave]
                     ):
-                        leave, best = i, ratio
+                        leave = i
             if leave is None:
                 return "unbounded", None
             self._pivot(leave, entering)
+            z, zb = _eliminate(z, zb, self.A[leave], self.b[leave], entering)
 
     def _pivot(self, row: int, col: int) -> None:
-        piv = self.A[row][col]
-        self.A[row] = [a / piv for a in self.A[row]]
-        self.b[row] /= piv
+        if self.A[row][col] < 0:
+            # Only when purging an artificial, whose row has rhs 0: flip the
+            # row so that its new scale is positive.
+            self.A[row] = [-a for a in self.A[row]]
+            self.b[row] = -self.b[row]
+        prow, prhs = self.A[row], self.b[row]
         for i in range(self.m):
             if i != row and self.A[i][col] != 0:
-                f = self.A[i][col]
-                self.A[i] = [a - f * p for a, p in zip(self.A[i], self.A[row])]
-                self.b[i] -= f * self.b[row]
+                self.A[i], self.b[i] = _eliminate(
+                    self.A[i], self.b[i], prow, prhs, col
+                )
         self.basis[row] = col
 
     def solution(self) -> list[Fraction]:
         xs = [Fraction(0)] * self.ncols
         for i, j in enumerate(self.basis):
-            xs[j] = self.b[i]
+            xs[j] = Fraction(self.b[i], self.A[i][j])
         return xs

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .coalitions import Coalition, empty_coalition, format_coalition
@@ -229,19 +230,23 @@ def _check_realization(v: LinearGame, r: Realization) -> None:
 
 
 def verify_realization(v: LinearGame, r: Realization) -> bool:
-    """Exhaustive check: weight-at-or-above-quota matches winning exactly."""
+    """Exhaustive check: weight-at-or-above-quota matches winning exactly.
+
+    Runs in integers: q and the weights are scaled to a common denominator
+    once, and each coalition's weight is one smaller coalition's plus the
+    weight of its lowest voter.
+    """
     if r.n != v.n:
         raise GameError(f"realization over {r.n} voters for {v.n}-voter game")
-    bits = v.winning_bitmap()
-    per_voter = r.weights
-    for m in range(1 << v.n):
-        w = Fraction(0)
-        for i in range(v.n):
-            if m >> i & 1:
-                w += per_voter[i]
-        if (w >= r.q) != bool(bits >> m & 1):
-            return False
-    return True
+    d = lcm(r.q.denominator, *(w.denominator for w in r.weights))
+    q = r.q.numerator * (d // r.q.denominator)
+    weights = [w.numerator * (d // w.denominator) for w in r.weights]
+    sums = [0] * (1 << v.n)
+    for m in range(1, 1 << v.n):
+        low = m & -m
+        sums[m] = sums[m ^ low] + weights[low.bit_length() - 1]
+    realized = "".join("1" if s >= q else "0" for s in reversed(sums))
+    return int(realized, 2) == v.winning_bitmap()
 
 
 # -- trade robustness --------------------------------------------------------

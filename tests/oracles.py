@@ -45,6 +45,19 @@ def brute_at_least_as_desirable(v: LinearGame, i: int, j: int) -> bool:
     return True
 
 
+def brute_realizes(v: LinearGame, r) -> bool:
+    """Definition check of a realization: every coalition wins iff the
+    Fraction sum of its members' weights is at least q."""
+    win = brute_winning_masks(v)
+    for m in range(1 << v.n):
+        weight = sum(
+            (w for i, w in enumerate(r.weights) if m >> i & 1), Fraction(0)
+        )
+        if (weight >= r.q) != (m in win):
+            return False
+    return True
+
+
 def _gauss_solve(mat, rhs):
     """Unique exact solution of a square-ish system, or None."""
     m = [row[:] + [r] for row, r in zip(mat, rhs)]

@@ -224,6 +224,12 @@ class TestDegeneracy:
         res = solve(sys)
         assert res.feasible
 
+    def test_no_rows(self):
+        sys = system(["x", "y"])
+        assert solve(sys).point == {"x": 0, "y": 0}
+        sys.maximize({"x": 1})
+        assert solve(sys).status == "unbounded"
+
     def test_infeasible_zero_row(self):
         sys = system(["x"])
         sys.leq({"x": 0}, -1)  # 0 <= -1

@@ -25,6 +25,7 @@ from lineargames import (
 from lineargames import weightedness
 from lineargames.weightedness import polytope_system
 
+from oracles import brute_realizes
 from test_games import all_games
 
 
@@ -81,6 +82,37 @@ class TestVerifyRealization:
         assert verify_realization(v, good)
         lowered = parse_realization("(11/20: 7/20,1/4,1/5,1/5)")
         assert not verify_realization(v, lowered)  # {4,2} becomes winning
+
+    def test_matches_fraction_oracle(self):
+        # LP realizations put coalitions exactly at the quota; moving one
+        # voter's weight (then renormalizing) breaks those ties both ways.
+        verdicts, ties = set(), 0
+        for n in range(1, 6):
+            for v in all_games(n):
+                r = is_weighted(v)
+                ties += any(
+                    sum(w for i, w in enumerate(r.weights) if m >> i & 1)
+                    == r.q
+                    for m in range(1 << n)
+                )
+                raw = list(reversed(r.weights))  # strongest first
+                candidates = [r]
+                for i in range(n):
+                    for delta in (Fraction(1, 97), Fraction(-1, 97)):
+                        moved = raw[:]
+                        moved[i] += delta
+                        try:
+                            candidates.append(
+                                normalized_realization(r.q, moved)
+                            )
+                        except GameError:  # order or quota range broken
+                            pass
+                for c in candidates:
+                    got = verify_realization(v, c)
+                    assert got == brute_realizes(v, c), (v, c)
+                    verdicts.add(got)
+        assert verdicts == {True, False}
+        assert ties > 100
 
     def test_dictator(self):
         n = 5
