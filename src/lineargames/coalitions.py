@@ -110,6 +110,17 @@ def shift_leq_masks(a_mask: int, b_mask: int, n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
+def canonical_order(n: int) -> tuple[int, ...]:
+    """All 2^n coalition masks by rank, then by decreasing member list."""
+
+    def key(mask):
+        members = tuple(i for i in range(n, 0, -1) if mask >> (i - 1) & 1)
+        return (sum(members), members)
+
+    return tuple(sorted(range(1 << n), key=key))
+
+
 def cover_successors_mask(mask: int, n: int) -> list[int]:
     """Masks covering `mask` in the coalitions poset (rank +1 moves).
 

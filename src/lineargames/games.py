@@ -1,9 +1,11 @@
 """Linear simple games as filters of the coalitions poset.
 
-A game is stored by its generators: the antichain of shift-minimal winning
-coalitions.  The winning set is the up-set of the generators, so the game
-is monotone by construction, the grand coalition always wins and the empty
-coalition always loses.
+A game is stored as its winning bitmap: an int over the 2^n coalition
+masks, bit m set iff mask m wins.  The bitmap is a filter (an up-set of the
+shift order) that holds the grand coalition and not the empty one.  Games
+are equal iff their voter counts and bitmaps are, and each cover move of
+the games poset adds or removes one bit.  The generators, the shift-minimal
+winning coalitions, are derived from the bitmap on first use.
 """
 
 from __future__ import annotations
@@ -11,15 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .coalitions import (
+    MAX_VOTERS,
     Coalition,
     CoalitionError,
+    canonical_order,
     cover_predecessors_mask,
     cover_successors_mask,
-    empty_coalition,
     format_coalition,
     grand_coalition,
     parse_coalition,
-    shift_leq_masks,
 )
 
 
@@ -27,48 +29,68 @@ class GameError(ValueError):
     """Raised on invalid game construction or queries."""
 
 
-def _canonical_key(n: int, mask: int):
-    return (Coalition(n, mask).rank(), Coalition(n, mask).members())
+def _up_closure(bits: int, n: int) -> int:
+    """The up-set of the masks in `bits`.  Every cover successor has a
+    larger mask number, so one ascending pass closes the set."""
+    for m in range(1 << n):
+        if bits >> m & 1:
+            for up in cover_successors_mask(m, n):
+                bits |= 1 << up
+    return bits
+
+
+def _shift_minimal(bits: int, n: int) -> list[int]:
+    """The masks in `bits` that cover no mask in `bits`, in canonical order:
+    the generators of the filter `bits`."""
+    return [
+        m
+        for m in canonical_order(n)
+        if bits >> m & 1
+        and not any(bits >> lo & 1 for lo in cover_predecessors_mask(m, n))
+    ]
+
+
+def _complements(bits: int, n: int) -> int:
+    """Bitmap with bit m set iff the complement of mask m is in `bits`:
+    complementing a mask reverses its position among the 2^n."""
+    return int(f"{bits:0{1 << n}b}"[::-1], 2)
 
 
 class LinearGame:
-    """A linear simple game given by its shift-minimal winning coalitions."""
+    """A linear simple game: the up-set of the given coalitions."""
 
-    __slots__ = ("n", "generators", "_winning", "_hash")
+    __slots__ = ("n", "_bits", "_generators")
 
     def __init__(self, n: int, generators) -> None:
-        coals = [g if isinstance(g, Coalition) else Coalition(n, g) for g in generators]
-        if not coals:
-            raise GameError("a game needs at least one generator")
-        for g in coals:
-            if g.n != n:
+        bits = 0
+        for g in generators:
+            if not isinstance(g, Coalition):
+                g = Coalition(n, g)
+            elif g.n != n:
                 raise GameError(f"generator {g} has voter count {g.n}, expected {n}")
-        # Drop dominated generators so the set is an antichain.
-        minimal = []
-        for g in coals:
-            if any(
-                h.mask != g.mask and shift_leq_masks(h.mask, g.mask, n) for h in coals
-            ):
-                continue
-            if g not in minimal:
-                minimal.append(g)
-        if minimal == [empty_coalition(n)]:
+            bits |= 1 << g.mask
+        if not bits:
+            raise GameError("a game needs at least one generator")
+        if bits & 1:
             raise GameError("the empty coalition cannot win")
-        minimal.sort(key=lambda g: _canonical_key(n, g.mask))
-        self.n = n
-        self.generators = tuple(minimal)
-        self._winning = None
-        self._hash = hash((n, self.generators))
+        self.n, self._bits, self._generators = n, _up_closure(bits, n), None
+
+    @classmethod
+    def _from_bitmap(cls, n: int, bits: int) -> "LinearGame":
+        """The game whose winning bitmap is `bits`, which must be a filter."""
+        v = object.__new__(cls)
+        v.n, v._bits, v._generators = n, bits, None
+        return v
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, LinearGame)
             and self.n == other.n
-            and self.generators == other.generators
+            and self._bits == other._bits
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.n, self._bits))
 
     def __str__(self) -> str:
         return format_game(self)
@@ -76,57 +98,31 @@ class LinearGame:
     def __repr__(self) -> str:
         return f"LinearGame({self.n}, {format_game(self)!r})"
 
+    @property
+    def generators(self) -> tuple[Coalition, ...]:
+        """The shift-minimal winning coalitions, in canonical order."""
+        if self._generators is None:
+            self._generators = tuple(
+                Coalition(self.n, m) for m in _shift_minimal(self._bits, self.n)
+            )
+        return self._generators
+
     # -- winning-set machinery ------------------------------------------
 
     def winning_bitmap(self) -> int:
-        """Bitmap over all 2^n coalition masks; bit m set iff mask m wins.
-
-        Computed once per game by checking each coalition against the
-        generators; cached (games are immutable).
-        """
-        if self._winning is None:
-            n = self.n
-            gens = [g.mask for g in self.generators]
-            bits = 0
-            for m in range(1 << n):
-                if any(shift_leq_masks(g, m, n) for g in gens):
-                    bits |= 1 << m
-            self._winning = bits
-        return self._winning
+        """Bitmap over all 2^n coalition masks; bit m set iff mask m wins."""
+        return self._bits
 
     def is_winning(self, a: Coalition) -> bool:
         if a.n != self.n:
             raise GameError(f"coalition over {a.n} voters in {self.n}-voter game")
-        return any(
-            shift_leq_masks(g.mask, a.mask, self.n) for g in self.generators
-        )
-
-    def winning_coalitions(self) -> list[Coalition]:
-        bits = self.winning_bitmap()
-        return [Coalition(self.n, m) for m in range(1 << self.n) if bits >> m & 1]
+        return bool(self._bits >> a.mask & 1)
 
     def rank(self) -> int:
         """Number of losing coalitions: 2^n - |W|."""
-        return (1 << self.n) - self.winning_bitmap().bit_count()
+        return (1 << self.n) - self._bits.bit_count()
 
     # -- structure -------------------------------------------------------
-
-    def minimal_winning(self) -> list[Coalition]:
-        """Winning coalitions no single-voter removal of which still wins."""
-        bits = self.winning_bitmap()
-        out = []
-        for m in range(1, 1 << self.n):
-            if not bits >> m & 1:
-                continue
-            ok = True
-            for i in range(self.n):
-                if m >> i & 1 and bits >> (m & ~(1 << i)) & 1:
-                    ok = False
-                    break
-            if ok:
-                out.append(Coalition(self.n, m))
-        out.sort(key=lambda c: _canonical_key(self.n, c.mask))
-        return out
 
     def shift_maximal_losing(self) -> list[Coalition]:
         """Shift-maximal elements of the losing ideal, excluding the empty set.
@@ -134,52 +130,27 @@ class LinearGame:
         An empty result means the empty coalition is the only loser (the
         game just below the excluded all-winning boundary).
         """
-        bits = self.winning_bitmap()
-        n = self.n
-        out = []
-        for m in range(1, 1 << n):
-            if bits >> m & 1:
-                continue
-            if all(bits >> up & 1 for up in cover_successors_mask(m, n)):
-                out.append(Coalition(n, m))
-        out.sort(key=lambda c: _canonical_key(n, c.mask))
-        return out
+        bits, n = self._bits, self.n
+        return [
+            Coalition(n, m)
+            for m in canonical_order(n)
+            if m
+            and not bits >> m & 1
+            and all(bits >> up & 1 for up in cover_successors_mask(m, n))
+        ]
 
     def dual(self) -> "LinearGame":
         """The dual game: A wins in the dual iff its complement loses here."""
-        bits = self.winning_bitmap()
-        n = self.n
-        full = (1 << n) - 1
-        dual_bits = 0
-        for m in range(1 << n):
-            if not bits >> (full ^ m) & 1:
-                dual_bits |= 1 << m
-        # Shift-minimal elements of the dual winning set.
-        gens = [
-            Coalition(n, m)
-            for m in range(1, 1 << n)
-            if dual_bits >> m & 1
-            and not any(
-                dual_bits >> lo & 1 for lo in cover_predecessors_mask(m, n)
-            )
-        ]
-        return LinearGame(n, gens)
+        every = (1 << (1 << self.n)) - 1
+        return LinearGame._from_bitmap(
+            self.n, every ^ _complements(self._bits, self.n)
+        )
 
     def classify(self) -> dict:
         """Proper / strong / self-dual verdicts over all complement pairs."""
-        bits = self.winning_bitmap()
-        full = (1 << self.n) - 1
-        proper = True
-        strong = True
-        for m in range(1 << self.n):
-            a = bits >> m & 1
-            b = bits >> (full ^ m) & 1
-            if a and b:
-                proper = False
-            if not a and not b:
-                strong = False
-            if not proper and not strong:
-                break
+        bits, comp = self._bits, _complements(self._bits, self.n)
+        proper = not bits & comp
+        strong = bits | comp == (1 << (1 << self.n)) - 1
         return {"proper": proper, "strong": strong, "self_dual": proper and strong}
 
     def desirability(self, i: int, j: int) -> str:
@@ -199,34 +170,46 @@ class LinearGame:
         )  # unreachable for games built from antichains of the shift order
 
     def _at_least_as_desirable(self, i: int, j: int) -> bool:
-        bits = self.winning_bitmap()
+        """S + j wins implies S + i wins, for every S avoiding i and j."""
+        bits = self._bits
         bi, bj = 1 << (i - 1), 1 << (j - 1)
-        rest = [k for k in range(self.n) if k not in (i - 1, j - 1)]
-        for sub in range(1 << len(rest)):
-            s = 0
-            for t, k in enumerate(rest):
-                if sub >> t & 1:
-                    s |= 1 << k
-            if bits >> (s | bj) & 1 and not bits >> (s | bi) & 1:
-                return False
-        return True
+        return not any(
+            bits >> (s | bj) & 1 and not bits >> (s | bi) & 1
+            for s in range(1 << self.n)
+            if not s & (bi | bj)
+        )
 
     def dummies(self) -> list[int]:
-        """Voters appearing in no minimal winning coalition."""
-        used = 0
-        for c in self.minimal_winning():
-            used |= c.mask
-        return [i for i in range(self.n, 0, -1) if not used >> (i - 1) & 1]
+        """Voters appearing in no minimal winning coalition: no winning
+        coalition loses when they leave it."""
+        bits = self._bits
+        return [
+            i
+            for i in range(self.n, 0, -1)
+            if not any(
+                bits >> m & 1 and not bits >> (m & ~(1 << (i - 1))) & 1
+                for m in range(1 << self.n)
+            )
+        ]
 
     def hierarchy(self) -> "Hierarchy":
         return hierarchy(self)
 
     def induce(self, m: int) -> "LinearGame":
-        """The game on m >= n voters obtained by adding m - n dummies."""
-        if m < self.n:
-            raise GameError(f"cannot induce down from {self.n} to {m} voters")
+        """The game on m >= n voters obtained by adding m - n dummies.
+
+        The dummies are the weakest voters, so a coalition wins iff its
+        members above them win here: each winning bit becomes a block.
+        """
+        if not self.n <= m <= MAX_VOTERS:
+            raise GameError(f"cannot induce from {self.n} to {m} voters")
         shift = m - self.n
-        return LinearGame(m, [Coalition(m, g.mask << shift) for g in self.generators])
+        block = (1 << (1 << shift)) - 1
+        bits = 0
+        for w in range(1 << self.n):
+            if self._bits >> w & 1:
+                bits |= block << (w << shift)
+        return LinearGame._from_bitmap(m, bits)
 
 
 @dataclass(frozen=True)
@@ -275,41 +258,36 @@ def weakest_voter_game(n: int) -> LinearGame:
 
 def j_covers(v: LinearGame) -> list[LinearGame]:
     """Games covering v in the linear games poset: remove one generator."""
-    out = []
     bits = v.winning_bitmap()
-    for g in v.generators:
-        remaining = bits & ~(1 << g.mask)
-        if remaining == 0:
-            continue  # removing the last winner would leave the excluded trivial game
-        gens = _minimal_of_bitmap(remaining, v.n)
-        out.append(LinearGame(v.n, gens))
-    return out
+    return [
+        LinearGame._from_bitmap(v.n, bits & ~(1 << g.mask))
+        for g in v.generators
+        # removing the last winner would leave the excluded trivial game
+        if bits != 1 << g.mask
+    ]
 
 
 def j_covered(v: LinearGame) -> list[LinearGame]:
     """Games covered by v: add one shift-maximal losing coalition."""
-    out = []
-    for b in v.shift_maximal_losing():
-        out.append(LinearGame(v.n, list(v.generators) + [b]))
-    return out
-
-
-def _minimal_of_bitmap(bits: int, n: int) -> list[Coalition]:
+    bits = v.winning_bitmap()
     return [
-        Coalition(n, m)
-        for m in range(1, 1 << n)
-        if bits >> m & 1
-        and not any(bits >> lo & 1 for lo in cover_predecessors_mask(m, n))
+        LinearGame._from_bitmap(v.n, bits | 1 << b.mask)
+        for b in v.shift_maximal_losing()
     ]
 
 
 def game_from_winning_bitmap(bits: int, n: int) -> LinearGame:
-    """Rebuild a game from an explicit winning bitmap (must be a filter)."""
+    """The game with an explicit winning bitmap, which must be a filter of
+    the coalitions poset holding the grand coalition and not the empty one."""
+    if not 1 <= n <= MAX_VOTERS:
+        raise GameError(f"voter count {n} out of range 1..{MAX_VOTERS}")
     if bits & 1:
         raise GameError("the empty coalition cannot win")
     if not bits >> ((1 << n) - 1) & 1:
         raise GameError("the grand coalition must win")
-    return LinearGame(n, _minimal_of_bitmap(bits, n))
+    if bits >> (1 << n) or _up_closure(bits, n) != bits:
+        raise GameError(f"bitmap {bits:#x} is not a filter of {n}-voter coalitions")
+    return LinearGame._from_bitmap(n, bits)
 
 
 # -- text and JSON forms ---------------------------------------------------

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb
 from typing import Optional
 
-from .coalitions import Coalition, format_coalition
+from .coalitions import Coalition, canonical_order, format_coalition
 from .exactlp import strictly_feasible
 from .games import (
     GameError,
@@ -195,11 +195,7 @@ def one_generator_proper_list(n: int) -> list[Coalition]:
     largest-(2k-1) characterization."""
     if n > 12:
         raise PosetError("one-generator listing capped at n <= 12")
-    out = [
-        Coalition(n, m) for m in range(1, 1 << n) if _majority_prefix(m, n)
-    ]
-    out.sort(key=lambda c: (c.rank(), c.members()))
-    return out
+    return [Coalition(n, m) for m in canonical_order(n) if _majority_prefix(m, n)]
 
 
 def symmetric_game_counts(n: int) -> dict[str, int]:

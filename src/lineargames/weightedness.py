@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from .coalitions import Coalition, empty_coalition, format_coalition
+from .coalitions import Coalition, canonical_order, empty_coalition, format_coalition
 from .exactlp import LinearSystem, LPError, strictly_feasible
 from .games import GameError, LinearGame, format_game, game_from_winning_bitmap
 
@@ -297,13 +297,8 @@ def find_trade_failure(
         raise GameError("trade search needs a bound of at least 2")
     n = v.n
     bits = v.winning_bitmap()
-    order_key = lambda m: (Coalition(n, m).rank(), Coalition(n, m).members())
-    winning = sorted(
-        (m for m in range(1 << n) if bits >> m & 1), key=order_key
-    )
-    losing = sorted(
-        (m for m in range(1 << n) if not bits >> m & 1), key=order_key
-    )
+    winning = [m for m in canonical_order(n) if bits >> m & 1]
+    losing = [m for m in canonical_order(n) if not bits >> m & 1]
     for j in range(2, max_coalitions + 1):
         for xs in itertools.combinations_with_replacement(winning, j):
             counts = [0] * n

@@ -22,15 +22,19 @@ def brute_shift_leq(a_members, b_members) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def brute_winning_masks(v: LinearGame) -> set[int]:
-    """Winning set computed directly from the up-set definition."""
-    gens = [g.members() for g in v.generators]
+def brute_up_set(n: int, gens) -> set[int]:
+    """Masks of the coalitions shift-above some member list in `gens`."""
     out = set()
-    for m in range(1 << v.n):
-        members = [i + 1 for i in range(v.n) if m >> i & 1]
+    for m in range(1 << n):
+        members = [i + 1 for i in range(n) if m >> i & 1]
         if any(brute_shift_leq(g, members) for g in gens):
             out.add(m)
     return out
+
+
+def brute_winning_masks(v: LinearGame) -> set[int]:
+    """Winning set computed directly from the up-set definition."""
+    return brute_up_set(v.n, [g.members() for g in v.generators])
 
 
 def brute_at_least_as_desirable(v: LinearGame, i: int, j: int) -> bool:

@@ -21,6 +21,7 @@ from lineargames import (
 
 from oracles import (
     brute_at_least_as_desirable,
+    brute_up_set,
     brute_winning_masks,
     random_linear_game,
 )
@@ -70,9 +71,14 @@ class TestWinning:
         rnd = random.Random(5)
         for n in range(1, 7):
             for _ in range(15):
-                v = random_linear_game(rnd, n)
+                gens = [
+                    Coalition(n, rnd.randint(1, (1 << n) - 1))
+                    for _ in range(rnd.randint(1, 4))
+                ]
+                v = LinearGame(n, gens)
                 bits = v.winning_bitmap()
                 got = {m for m in range(1 << n) if bits >> m & 1}
+                assert got == brute_up_set(n, [g.members() for g in gens])
                 assert got == brute_winning_masks(v)
 
     def test_spec_example(self):
@@ -242,9 +248,11 @@ class TestCovers:
                 diff = v.winning_bitmap() & ~u.winning_bitmap()
                 assert diff.bit_count() == 1
                 assert u.winning_bitmap() & ~v.winning_bitmap() == 0
+                assert game_from_winning_bitmap(u.winning_bitmap(), 4) == u
             for u in j_covered(v):
                 diff = u.winning_bitmap() & ~v.winning_bitmap()
                 assert diff.bit_count() == 1
+                assert game_from_winning_bitmap(u.winning_bitmap(), 4) == u
 
     def test_covers_inverse_of_covered(self):
         for v in all_games(4):
@@ -288,3 +296,5 @@ class TestWinningBitmapRoundTrip:
             game_from_winning_bitmap(1, 3)  # empty coalition winning
         with pytest.raises(GameError):
             game_from_winning_bitmap(2, 3)  # grand coalition losing
+        with pytest.raises(GameError):  # {3, 321}: 32 and 31 lose, not a filter
+            game_from_winning_bitmap(1 << 0b100 | 1 << 0b111, 3)

@@ -33,6 +33,12 @@ class TestBuild:
         assert len(build_poset(5, "J").nodes) == 117
         assert len(build_poset(6, "J").nodes) == 1171
 
+    @pytest.mark.frontier
+    def test_seven_voter_count(self):
+        # |J_7| = 44,313 (Kurz & Tautenhahn, IJGT 42, 2013)
+        with pytest.warns(UserWarning):
+            assert len(build_poset(7, "J", force=True).nodes) == 44313
+
     def test_restricted_kinds_match_filters(self):
         for n in (3, 4, 5):
             games = all_games(n)
