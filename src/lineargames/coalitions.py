@@ -153,28 +153,6 @@ class CoalitionPoset:
     n: int
     covers: tuple[tuple[int, ...], ...]  # covers[mask] = masks covering mask
 
-    @property
-    def elements(self) -> list[Coalition]:
-        return [Coalition(self.n, m) for m in range(1 << self.n)]
-
-    def rank(self, a: Coalition) -> int:
-        return a.rank()
-
-    def cover_pairs(self) -> list[tuple[Coalition, Coalition]]:
-        return [
-            (Coalition(self.n, lo), Coalition(self.n, hi))
-            for lo in range(1 << self.n)
-            for hi in self.covers[lo]
-        ]
-
-    def rank_counts(self) -> list[int]:
-        """Number of coalitions of each rank 0 .. n(n+1)/2."""
-        top = self.n * (self.n + 1) // 2
-        counts = [0] * (top + 1)
-        for m in range(1 << self.n):
-            counts[Coalition(self.n, m).rank()] += 1
-        return counts
-
 
 @lru_cache(maxsize=None)
 def build_m_poset(n: int) -> CoalitionPoset:

@@ -1,112 +1,94 @@
-"""Exact rational linear programming.
+"""Exact feasibility of linear systems with strict rows.
 
-The API is over `fractions.Fraction`: rows, right-hand sides, returned
-points and optima.  There is no floating-point path anywhere, so verdicts
-on ties and strict inequalities are exact.  Strict constraints are decided
-by the shared-margin transform: a single margin variable is added to every
-strict row and maximized; the system is strictly feasible iff the optimal
-margin is positive.
+A `LinearSystem` is a column count and rows of Python `int` coefficients:
+column j holds the coefficient of the free variable x_j.  Each row has a
+relation in {<=, =, <} and an `int` or `fractions.Fraction` right-hand
+side.  `solve` decides whether some point meets every weak row and every
+strict row strictly, and returns one as a tuple of Fractions.  There is
+no floating-point path anywhere, so verdicts on ties and strict
+inequalities are exact.
+
+Strict rows are decided by the shared-margin transform: a single margin
+variable is added to every strict row and raised as far as it goes,
+capped at 1; the system is strictly feasible iff the largest margin is
+positive.  The margin is the only quantity the solver ever optimizes.
 
 The simplex core is a dense two-phase tableau with Bland's anti-cycling
 pivot rule.  Free variables are split into positive and negative parts.
-The tableau holds Python `int` rows: each row is scaled once to integers
-and kept as a positive multiple of its rational row (fraction-free
-elimination with row gcds), so every sign and ratio test, and therefore
-every pivot and vertex, is the one the rational tableau would take.
+Each row, with its rhs, is scaled once to integers by the rhs's
+denominator and kept as a positive multiple of its rational row
+(fraction-free elimination with row gcds), so every sign and ratio test,
+and therefore every pivot and vertex, is the one the rational tableau
+would take.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Optional
 
 LEQ = "<="
 EQ = "="
 LT = "<"  # strict
 
-_REL_SET = {LEQ, EQ, LT}
+_RELATIONS = (LEQ, EQ, LT)
 
 
 class LPError(ValueError):
-    """Malformed system (arity mismatch, unknown relation)."""
+    """Malformed row (wrong length, non-int coefficient, unknown relation
+    or rhs type), or a failed self-check of the solver."""
 
 
 @dataclass(frozen=True)
 class Constraint:
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int, ...]
     rel: str
-    rhs: Fraction
+    rhs: int | Fraction
 
 
 @dataclass
 class LinearSystem:
-    """A system over named free variables with weak, equality, and strict rows.
+    """Weak, equality and strict rows over `ncols` free variables.
 
-    Rows are entered through the helper methods as {name: coeff} mappings;
     `a >= b` style rows should be entered negated (`-a <= -b`, `-a < -b`).
     """
 
-    variables: list[str] = field(default_factory=list)
+    ncols: int
     constraints: list[Constraint] = field(default_factory=list)
-    objective: Optional[tuple[tuple[Fraction, ...], str]] = None  # (coeffs, 'max'|'min')
-    _index: dict[str, int] = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        self._index = {name: j for j, name in enumerate(self.variables)}
+    @property
+    def variables(self) -> range:
+        """The column indices."""
+        return range(self.ncols)
 
-    def var(self, name: str) -> int:
-        if name not in self._index:
-            if self.constraints or self.objective:
-                raise LPError("declare all variables before adding rows")
-            self._index[name] = len(self.variables)
-            self.variables.append(name)
-        return self._index[name]
-
-    def _vector(self, terms: dict[str, Fraction]) -> tuple[Fraction, ...]:
-        vec = [Fraction(0)] * len(self.variables)
-        for name, c in terms.items():
-            j = self._index.get(name)
-            if j is None:
-                raise LPError(f"unknown variable {name!r}")
-            vec[j] += Fraction(c)
-        return tuple(vec)
-
-    def add(self, terms: dict[str, Fraction], rel: str, rhs) -> None:
-        if rel not in _REL_SET:
+    def add(self, coeffs, rel: str, rhs) -> None:
+        coeffs = tuple(coeffs)
+        if len(coeffs) != self.ncols:
+            raise LPError(f"row of {len(coeffs)} coefficients for {self.ncols} columns")
+        if not all(isinstance(a, int) for a in coeffs):
+            raise LPError(f"row coefficients must be int, got {coeffs!r}")
+        if rel not in _RELATIONS:
             raise LPError(f"unknown relation {rel!r}")
-        self.constraints.append(Constraint(self._vector(terms), rel, Fraction(rhs)))
+        if not isinstance(rhs, (int, Fraction)):
+            raise LPError(f"rhs must be int or Fraction, got {rhs!r}")
+        self.constraints.append(Constraint(coeffs, rel, rhs))
 
-    def leq(self, terms, rhs) -> None:
-        self.add(terms, LEQ, rhs)
+    def leq(self, coeffs, rhs) -> None:
+        self.add(coeffs, LEQ, rhs)
 
-    def geq(self, terms, rhs) -> None:
-        neg = {k: -Fraction(v) for k, v in terms.items()}
-        self.add(neg, LEQ, -Fraction(rhs))
+    def eq(self, coeffs, rhs) -> None:
+        self.add(coeffs, EQ, rhs)
 
-    def eq(self, terms, rhs) -> None:
-        self.add(terms, EQ, rhs)
-
-    def lt(self, terms, rhs) -> None:
-        self.add(terms, LT, rhs)
-
-    def gt(self, terms, rhs) -> None:
-        neg = {k: -Fraction(v) for k, v in terms.items()}
-        self.add(neg, LT, -Fraction(rhs))
-
-    def maximize(self, terms: dict[str, Fraction]) -> None:
-        self.objective = (self._vector(terms), "max")
-
-    def minimize(self, terms: dict[str, Fraction]) -> None:
-        self.objective = (self._vector(terms), "min")
+    def lt(self, coeffs, rhs) -> None:
+        self.add(coeffs, LT, rhs)
 
 
 @dataclass(frozen=True)
 class LPResult:
-    status: str  # 'feasible' | 'infeasible' | 'unbounded'
-    point: Optional[dict[str, Fraction]] = None
-    optimum: Optional[Fraction] = None
+    status: str  # 'feasible' | 'infeasible'
+    point: Optional[tuple[Fraction, ...]] = None
 
     @property
     def feasible(self) -> bool:
@@ -114,55 +96,27 @@ class LPResult:
 
 
 def solve(system: LinearSystem) -> LPResult:
-    """Exact verdict on a linear system, optimizing its objective if any.
+    """Exact verdict on a linear system, with a point if it is feasible.
 
-    Strict rows are satisfied strictly by any returned point.  When strict
-    rows and an objective are both present, the objective is optimized
-    with the shared margin pinned at half its maximal value (the margin's
-    sign, not its size, is the meaningful quantity).
+    The point satisfies every strict row strictly.
     """
-    nvars = len(system.variables)
-    for c in system.constraints:
-        if len(c.coeffs) != nvars:
-            raise LPError("constraint arity does not match variable count")
-
-    strict_rows = [c for c in system.constraints if c.rel == LT]
-    if not strict_rows:
-        return _solve_weak(system, system.constraints, system.objective)
-
-    # Margin pass: maximize eps added to every strict row, capped at 1.
-    eps_idx = nvars
-    rows = []
-    for c in system.constraints:
-        if c.rel == LT:
-            rows.append(Constraint(c.coeffs + (Fraction(1),), LEQ, c.rhs))
-        else:
-            rows.append(Constraint(c.coeffs + (Fraction(0),), c.rel, c.rhs))
-    cap = tuple([Fraction(0)] * nvars) + (Fraction(1),)
-    rows.append(Constraint(cap, LEQ, Fraction(1)))
-    floor = tuple([Fraction(0)] * nvars) + (Fraction(-1),)
-    rows.append(Constraint(floor, LEQ, Fraction(0)))  # eps >= 0
-    obj = (cap, "max")
-
-    status, x, opt = _simplex_solve(nvars + 1, rows, obj)
-    if status == "infeasible" or (status == "feasible" and opt <= 0):
+    n = system.ncols
+    rows = system.constraints
+    margin = any(c.rel == LT for c in rows)
+    if margin:
+        # Margin pass: raise eps, added to every strict row, up to its cap 1.
+        rows = [
+            Constraint(c.coeffs + (1,), LEQ, c.rhs)
+            if c.rel == LT
+            else Constraint(c.coeffs + (0,), c.rel, c.rhs)
+            for c in rows
+        ]
+        rows.append(Constraint((0,) * n + (1,), LEQ, 1))
+        rows.append(Constraint((0,) * n + (-1,), LEQ, 0))  # eps >= 0
+    x = _simplex_solve(n + 1 if margin else n, rows, margin)
+    if x is None or (margin and x[n] <= 0):
         return LPResult("infeasible")
-    if status == "unbounded":  # cannot happen: eps is capped
-        raise LPError("margin pass unbounded despite cap")
-
-    if system.objective is None:
-        point = dict(zip(system.variables, x[:nvars]))
-        return LPResult("feasible", point)
-
-    # Pin the margin at half its optimum, then optimize the real objective.
-    half = opt / 2
-    pinned = rows[:-2] + [Constraint(floor, LEQ, -half)]
-    user = (system.objective[0] + (Fraction(0),), system.objective[1])
-    status, x, opt = _simplex_solve(nvars + 1, pinned, user)
-    if status != "feasible":
-        return LPResult(status)
-    point = dict(zip(system.variables, x[:nvars]))
-    return LPResult("feasible", point, opt)
+    return LPResult("feasible", tuple(x[:n]))
 
 
 def strictly_feasible(system: LinearSystem):
@@ -174,37 +128,32 @@ def strictly_feasible(system: LinearSystem):
 # -- simplex core -----------------------------------------------------------
 
 
-def _solve_weak(system, rows, objective) -> LPResult:
-    status, x, opt = _simplex_solve(len(system.variables), rows, objective)
-    if status != "feasible":
-        return LPResult(status)
-    return LPResult("feasible", dict(zip(system.variables, x)), opt)
+def _simplex_solve(nvars, rows, margin):
+    """A feasible point over free variables, or None.
 
-
-def _simplex_solve(nvars, rows, objective):
-    """min/max over free variables; returns (status, point, optimum).
-
-    Free variables are split (x = u - w) and slacks added for inequalities.
-    Each row, with its rhs, is scaled once to integers by the lcm of its
-    denominators; the two-phase simplex with Bland's rule then runs on
-    `int` rows, and only the returned point and optimum are Fractions.
+    With `margin` the last variable is the margin, and the point gives it
+    its largest value, which must be bounded.  Free variables are split
+    (x = u - w) and slacks added for inequalities.  Each row, with its rhs,
+    is scaled once to integers by the rhs's denominator; the two-phase
+    simplex with Bland's rule then runs on `int` rows, and only the
+    returned point is Fractions.
     """
     nslack = sum(1 for r in rows if r.rel == LEQ)
     ncols = 2 * nvars + nslack
     A, b, scales, slack_basis = [], [], [], []
     si = 0
     for r in rows:
-        scale = lcm(r.rhs.denominator, *(a.denominator for a in r.coeffs))
+        scale = r.rhs.denominator
         row = [0] * ncols
         for j, a in enumerate(r.coeffs):
-            row[2 * j] = a.numerator * (scale // a.denominator)
+            row[2 * j] = a * scale
             row[2 * j + 1] = -row[2 * j]
         slack_col = None
         if r.rel == LEQ:
             slack_col = 2 * nvars + si
             row[slack_col] = scale
             si += 1
-        rhs = r.rhs.numerator * (scale // r.rhs.denominator)
+        rhs = r.rhs.numerator
         if rhs < 0:
             row = [-a for a in row]
             rhs = -rhs
@@ -214,30 +163,19 @@ def _simplex_solve(nvars, rows, objective):
         scales.append(scale)
         slack_basis.append(slack_col)
 
-    # Only the signs of reduced costs steer the simplex, so the cost row
-    # may be scaled by any positive factor.
+    # Only the signs of reduced costs steer the simplex: raising the
+    # margin u - w is lowering the cost w - u.
     cost = [0] * ncols
-    if objective is not None:
-        coeffs, sense = objective
-        denom = lcm(*(a.denominator for a in coeffs))
-        if sense == "max":
-            denom = -denom
-        for j, a in enumerate(coeffs):
-            cost[2 * j] = a.numerator * (denom // a.denominator)
-            cost[2 * j + 1] = -cost[2 * j]
+    if margin:
+        cost[2 * nvars - 2], cost[2 * nvars - 1] = -1, 1
 
     tab = _Tableau(A, b, ncols)
     if not tab.phase_one(slack_basis, scales):
-        return "infeasible", None, None
+        return None
     if tab.phase_two(cost) == "unbounded":
-        return "unbounded", None, None
+        raise LPError("phase two unbounded on a capped margin")
     xs = tab.solution()
-    point = [xs[2 * j] - xs[2 * j + 1] for j in range(nvars)]
-    if objective is None:
-        return "feasible", point, None
-    return "feasible", point, sum(
-        (a * x for a, x in zip(objective[0], point)), Fraction(0)
-    )
+    return [xs[2 * j] - xs[2 * j + 1] for j in range(nvars)]
 
 
 def _eliminate(row, rhs, prow, prhs, col):
@@ -272,8 +210,8 @@ class _Tableau:
 
     def phase_one(self, slack_basis, scales) -> bool:
         # Slacks seed the basis where possible; artificials fill the rest
-        # and their sum is minimized.  An artificial enters its row at the
-        # row's scale, i.e. with rational coefficient 1.
+        # and their sum is brought down as far as it goes.  An artificial
+        # enters its row at the row's scale, i.e. with rational coefficient 1.
         n0 = self.ncols
         self.basis = [0] * self.m
         art_rows = [i for i in range(self.m) if slack_basis[i] is None]
@@ -319,8 +257,8 @@ class _Tableau:
 
     def _optimize(self, cost):
         """Run Bland's rule from the current basis.  Returns the status and
-        the reduced-cost row's rhs, a positive multiple of minus the
-        objective value."""
+        the reduced-cost row's rhs, a positive multiple of minus the cost
+        at the current vertex."""
         # Reduced costs `cost - sum_i cost[basis[i]] * row_i`, computed once
         # and then updated on each pivot.  Basic columns stay exactly 0.
         z, zb = cost[:], 0

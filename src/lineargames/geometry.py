@@ -29,10 +29,11 @@ from .weightedness import (
     HalfSpace,
     Realization,
     add_halfspace,
+    coalition_sums,
     difference_terms,
     generating_halfspaces,
     is_weighted,
-    point_weights,
+    mask_weight,
     polytope_system,
     weight_system,
 )
@@ -128,7 +129,7 @@ def classify_facets(v: LinearGame) -> PolytopeReport:
         point = strictly_feasible(sys)
         if point is None:
             continue
-        witnesses[candidate] = (point["q"], point_weights(point, v.n))
+        witnesses[candidate] = (point[0], point[1:])
         if candidate.kind == TOP:
             tops.append(candidate.coalition)
         elif candidate.kind == BOTTOM:
@@ -150,14 +151,11 @@ def facets_containing_point(
 ) -> list[HalfSpace]:
     """Facet hyperplanes on which the given quota-weight point lies."""
     out = []
-    coal_w = lambda c: sum(
-        (weights[i - 1] for i in c.members()), Fraction(0)
-    )
     for a in report.top_facets:
-        if q == coal_w(a):
+        if q == mask_weight(weights, a.mask):
             out.append(HalfSpace(TOP, coalition=a))
     for b in report.bottom_facets:
-        if q == coal_w(b):
+        if q == mask_weight(weights, b.mask):
             out.append(HalfSpace(BOTTOM, coalition=b))
     for hs in report.vertical_facets:
         if hs.kind == VERTICAL:
@@ -197,9 +195,9 @@ def _add_subsimplex_equalities(sys, n, vertices) -> None:
     for lo, hi in zip(bounds, bounds[1:]):
         # voters n-lo, ..., n-hi+1 form one class
         for t in range(n - hi + 1, n - lo):
-            sys.eq(difference_terms(1 << t, 1 << (t - 1)), 0)
+            sys.eq(difference_terms(n, 1 << t, 1 << (t - 1)), 0)
     for t in range(1, n - vertices[-1] + 1):
-        sys.eq(difference_terms(1 << (t - 1)), 0)
+        sys.eq(difference_terms(n, 1 << (t - 1)), 0)
 
 
 def _hierarchy_from_vertices(n, vertices) -> Hierarchy:
@@ -216,16 +214,6 @@ def _hierarchy_from_vertices(n, vertices) -> Hierarchy:
 # -- vertical chains and corners ----------------------------------------------
 
 
-def coalition_sums(weights: tuple[Fraction, ...], n: int) -> list[Fraction]:
-    sums = [Fraction(0)] * (1 << n)
-    for i in range(n):
-        wi = weights[i]
-        bit = 1 << i
-        for m in range(bit):
-            sums[m | bit] = sums[m] + wi
-    return sums
-
-
 def vertical_chain(weights, n: int) -> list[LinearGame]:
     """Games traversed by raising the quota over a generic weight vector.
 
@@ -238,7 +226,7 @@ def vertical_chain(weights, n: int) -> list[LinearGame]:
         raise GameError(f"expected {n} weights, got {len(ws)}")
     per_voter = tuple(reversed(ws))  # per_voter[i-1] = voter i
     Realization(Fraction(1), per_voter)  # validates normalization and order
-    sums = coalition_sums(per_voter, n)
+    sums = coalition_sums(per_voter)
     seen: dict[Fraction, int] = {}
     for m, s in enumerate(sums):
         if s in seen:
@@ -256,7 +244,7 @@ def vertical_chain(weights, n: int) -> list[LinearGame]:
 def quota_intervals(weights, n: int) -> list[tuple[Fraction, Fraction]]:
     """Half-open quota intervals (lo, hi] matching vertical_chain's games."""
     ws = tuple(Fraction(w) for w in weights)
-    sums = sorted(coalition_sums(tuple(reversed(ws)), n))
+    sums = sorted(coalition_sums(tuple(reversed(ws))))
     return list(zip(sums, sums[1:]))
 
 
@@ -280,20 +268,19 @@ def interior_point(v: LinearGame):
     sys = weight_system(v.n)
     for hs in polytope_constraints(v):
         add_halfspace(sys, hs, "strict")
-    sys.lt({"q": Fraction(1)}, 1)
+    sys.lt(difference_terms(v.n, 0, q=1), 1)  # q < 1
     point = strictly_feasible(sys)
     if point is None:
         raise GameError(f"{v} has no interior realization")
-    return point["q"], point_weights(point, v.n)
+    return point[0], point[1:]
 
 
 def _strictly_inside(v: LinearGame, q: Fraction, ws) -> bool:
-    coal_w = lambda c: sum((ws[i - 1] for i in c.members()), Fraction(0))
     if not 0 < q < 1:
         return False
-    if any(q >= coal_w(g) for g in v.generators):
+    if any(q >= mask_weight(ws, g.mask) for g in v.generators):
         return False
-    if any(q <= coal_w(b) for b in v.shift_maximal_losing()):
+    if any(q <= mask_weight(ws, b.mask) for b in v.shift_maximal_losing()):
         return False
     if any(ws[i] >= ws[i + 1] for i in range(v.n - 1)) or ws[0] <= 0:
         return False

@@ -31,7 +31,6 @@ from .weightedness import (
     add_halfspace,
     difference_terms,
     is_weighted,
-    point_weights,
     simplex_halfspaces,
     weight_system,
 )
@@ -329,14 +328,14 @@ def _order_witness(order: GeneratorOrder, n: int):
         add_halfspace(sys, hs)
     seq = order.sequence
     for a, b in zip(seq, seq[1:]):  # consecutive strict rows suffice
-        sys.lt(difference_terms(a.mask, b.mask), 0)
+        sys.lt(difference_terms(n, a.mask, b.mask), 0)
     if seq:
         for g in order.top_generators:
-            sys.lt(difference_terms(seq[-1].mask, g.mask), 0)
+            sys.lt(difference_terms(n, seq[-1].mask, g.mask), 0)
     point = strictly_feasible(sys)
     if point is None:
         return None
-    return point_weights(point, n)
+    return point[1:]
 
 
 @dataclass(frozen=True)

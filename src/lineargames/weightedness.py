@@ -7,10 +7,12 @@ verdict comes with an exact realization, a negative one can be
 complemented by a trade-robustness failure certificate.
 
 Every quota-weight LP in the package is built here, from the generating
-half-spaces of the realization polytope.  `weight_system` declares q,
-w1..wn and w1 + ... + wn = 1; `polytope_system` adds one row per
-`HalfSpace`; the facet, footprint and chain LPs add the same rows in
-equal or strict form.  No row bounds q itself: the dummy face and the
+half-spaces of the realization polytope.  An LP row is a tuple of `int`
+coefficients: column 0 is q and column i is w_i.  `weight_system(n)`
+declares those n + 1 columns and the row w1 + ... + wn = 1;
+`polytope_system` adds one row per `HalfSpace`; the facet, footprint and
+chain LPs add the same rows in equal or strict form.  Points come back
+as (q, w1, ..., wn).  No row bounds q itself: the dummy face and the
 verticals make every weight nonnegative, so q <= w_A <= 1 follows from a
 top row and q > w_B >= 0 from a bottom row.
 """
@@ -55,9 +57,6 @@ class Realization:
     @property
     def n(self) -> int:
         return len(self.weights)
-
-    def coalition_weight(self, a: Coalition) -> Fraction:
-        return sum((self.weights[i - 1] for i in a.members()), Fraction(0))
 
     def __str__(self) -> str:
         return format_realization(self)
@@ -130,27 +129,35 @@ class HalfSpace:
             return f"vertical w_{self.index + 1} = w_{self.index}"
         return "vertical w_1 = 0"
 
-    def terms(self) -> dict[str, int]:
-        """The constraint read as terms >= 0 (terms > 0 for a bottom)."""
+    def terms(self, n: int) -> tuple[int, ...]:
+        """The constraint's LP row over n voters, read as row >= 0
+        (row > 0 for a bottom)."""
         if self.kind == TOP:
-            return difference_terms(self.coalition.mask, q=-1)
+            return difference_terms(n, self.coalition.mask, q=-1)
         if self.kind == BOTTOM:
-            return difference_terms(0, self.coalition.mask, q=1)
+            return difference_terms(n, 0, self.coalition.mask, q=1)
         if self.kind == VERTICAL:
-            return difference_terms(1 << self.index, 1 << (self.index - 1))
-        return difference_terms(1)
+            return difference_terms(n, 1 << self.index, 1 << (self.index - 1))
+        return difference_terms(n, 1)
 
 
-def difference_terms(plus: int, minus: int = 0, q: int = 0) -> dict[str, int]:
-    """LP terms of w_A - w_B + q * q for coalition masks A and B."""
-    terms = {"q": q} if q else {}
-    i = 0
-    while (plus | minus) >> i:
-        c = (plus >> i & 1) - (minus >> i & 1)
-        if c:
-            terms[f"w{i + 1}"] = c
-        i += 1
-    return terms
+def difference_terms(n: int, plus: int, minus: int = 0, q: int = 0) -> tuple[int, ...]:
+    """The LP row of w_A - w_B + q * q for coalition masks A and B."""
+    return (q, *((plus >> i & 1) - (minus >> i & 1) for i in range(n)))
+
+
+def mask_weight(weights, mask: int) -> Fraction:
+    """Weight of the coalition `mask`; `weights[i]` is voter i + 1's."""
+    return sum((w for i, w in enumerate(weights) if mask >> i & 1), Fraction(0))
+
+
+def coalition_sums(weights) -> list:
+    """Weights of all coalitions, indexed by mask; `weights[i]` is voter
+    i + 1's, and the empty coalition weighs `0` of the weights' type."""
+    sums = [weights[0] * 0]
+    for w in weights:
+        sums += [s + w for s in sums]
+    return sums
 
 
 def simplex_halfspaces(n: int) -> list[HalfSpace]:
@@ -171,25 +178,24 @@ def generating_halfspaces(v: LinearGame) -> list[HalfSpace]:
 
 
 def weight_system(n: int) -> LinearSystem:
-    """Variables q, w1..wn and the normalization w1 + ... + wn = 1."""
-    sys = LinearSystem()
-    sys.var("q")
-    for i in range(1, n + 1):
-        sys.var(f"w{i}")
-    sys.eq(difference_terms((1 << n) - 1), 1)
+    """Columns q, w1..wn and the normalization w1 + ... + wn = 1."""
+    sys = LinearSystem(n + 1)
+    sys.eq(difference_terms(n, (1 << n) - 1), 1)
     return sys
 
 
 def add_halfspace(sys: LinearSystem, hs: HalfSpace, mode: str = "weak") -> None:
     """mode 'weak' adds hs as written, 'strict' makes it strict, 'equal'
     puts the point on its hyperplane."""
-    terms = hs.terms()
+    terms = hs.terms(sys.ncols - 1)
     if mode == "equal":
         sys.eq(terms, 0)
-    elif mode == "strict" or hs.kind == BOTTOM:
-        sys.gt(terms, 0)
+        return
+    negated = tuple(-a for a in terms)  # terms >= 0 is -terms <= 0
+    if mode == "strict" or hs.kind == BOTTOM:
+        sys.lt(negated, 0)
     else:
-        sys.geq(terms, 0)
+        sys.leq(negated, 0)
 
 
 def polytope_system(v: LinearGame) -> LinearSystem:
@@ -198,10 +204,6 @@ def polytope_system(v: LinearGame) -> LinearSystem:
     for hs in generating_halfspaces(v):
         add_halfspace(sys, hs)
     return sys
-
-
-def point_weights(point: dict[str, Fraction], n: int) -> tuple[Fraction, ...]:
-    return tuple(point[f"w{i}"] for i in range(1, n + 1))
 
 
 _weighted_cache: dict[LinearGame, Optional[Realization]] = {}
@@ -218,7 +220,7 @@ def is_weighted(v: LinearGame) -> Optional[Realization]:
     point = strictly_feasible(polytope_system(v))
     result = None
     if point is not None:
-        result = Realization(point["q"], point_weights(point, v.n))
+        result = Realization(point[0], point[1:])
         _check_realization(v, result)
     _weighted_cache[v] = result
     return result
@@ -233,18 +235,14 @@ def verify_realization(v: LinearGame, r: Realization) -> bool:
     """Exhaustive check: weight-at-or-above-quota matches winning exactly.
 
     Runs in integers: q and the weights are scaled to a common denominator
-    once, and each coalition's weight is one smaller coalition's plus the
-    weight of its lowest voter.
+    once, then every coalition's weight is read from `coalition_sums`.
     """
     if r.n != v.n:
         raise GameError(f"realization over {r.n} voters for {v.n}-voter game")
     d = lcm(r.q.denominator, *(w.denominator for w in r.weights))
     q = r.q.numerator * (d // r.q.denominator)
     weights = [w.numerator * (d // w.denominator) for w in r.weights]
-    sums = [0] * (1 << v.n)
-    for m in range(1, 1 << v.n):
-        low = m & -m
-        sums[m] = sums[m ^ low] + weights[low.bit_length() - 1]
+    sums = coalition_sums(weights)
     realized = "".join("1" if s >= q else "0" for s in reversed(sums))
     return int(realized, 2) == v.winning_bitmap()
 
@@ -369,15 +367,13 @@ def footprint_weighted_cover(v: LinearGame, a: Coalition):
     u = game_from_winning_bitmap(remaining, v.n)
     sys = polytope_system(v)
     for g in u.generators:
-        sys.lt(difference_terms(a.mask, g.mask), 0)  # w_a - w_g < 0
+        sys.lt(difference_terms(v.n, a.mask, g.mask), 0)  # w_a - w_g < 0
     point = strictly_feasible(sys)
     if point is None:
         return False, None
-    weights = point_weights(point, v.n)
-    w_a = sum(weights[i - 1] for i in a.members())
-    w_min = min(
-        sum(weights[i - 1] for i in g.members()) for g in u.generators
-    )
+    weights = point[1:]
+    w_a = mask_weight(weights, a.mask)
+    w_min = min(mask_weight(weights, g.mask) for g in u.generators)
     realization = Realization((w_a + w_min) / 2, weights)
     _check_realization(u, realization)
     return True, realization
@@ -398,17 +394,18 @@ def footprint_weighted_covered(u: LinearGame, b: Coalition):
     sys = polytope_system(u)
     lower_losers = v.shift_maximal_losing()
     for c in lower_losers:
-        sys.gt(difference_terms(b.mask, c.mask), 0)  # w_b - w_c > 0
+        sys.lt(difference_terms(u.n, c.mask, b.mask), 0)  # w_b - w_c > 0
     if not lower_losers:
-        sys.gt(difference_terms(b.mask), 0)  # only the empty coalition loses below b
+        # only the empty coalition loses below b: w_b > 0
+        sys.lt(difference_terms(u.n, 0, b.mask), 0)
     point = strictly_feasible(sys)
     if point is None:
         return False, None
-    weights = point_weights(point, u.n)
-    coal_w = lambda c: sum(weights[i - 1] for i in c.members())
-    w_top = min(coal_w(g) for g in v.generators)
-    losers = v.shift_maximal_losing()
-    w_low = max((coal_w(c) for c in losers), default=Fraction(0))
+    weights = point[1:]
+    w_top = min(mask_weight(weights, g.mask) for g in v.generators)
+    w_low = max(
+        (mask_weight(weights, c.mask) for c in lower_losers), default=Fraction(0)
+    )
     realization = Realization((w_top + w_low) / 2, weights)
     _check_realization(v, realization)
     return True, realization

@@ -2,26 +2,41 @@
 
 `fraction_simplex` holds the Fraction tableau the integer one replaced.
 Both run Bland's rule on the same columns from the same starting basis, so
-they must agree exactly on status, point and optimum, not just on the
-optimal value.
+they must agree exactly on the verdict and on the point, not just on
+feasibility.
 """
 
 from fractions import Fraction
+from math import lcm
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
 from lineargames import build_poset, exactlp
-from lineargames.weightedness import polytope_system
-from lineargames.exactlp import EQ, LEQ, LT, Constraint, LinearSystem, solve
+from lineargames.weightedness import (
+    add_halfspace,
+    generating_halfspaces,
+    polytope_system,
+    weight_system,
+)
+from lineargames.exactlp import EQ, LEQ, LT, LinearSystem, LPError, solve
 
 import fraction_simplex
 
 
+def reference_simplex(nvars, rows, margin):
+    """`exactlp._simplex_solve`'s contract over the reference tableau."""
+    objective = None
+    if margin:
+        objective = ((0,) * (nvars - 1) + (1,), "max")
+    status, point, _ = fraction_simplex._simplex_solve(nvars, rows, objective)
+    if status == "unbounded":
+        raise LPError("phase two unbounded on a capped margin")
+    return point if status == "feasible" else None
+
+
 def reference_solve(system: LinearSystem):
-    with mock.patch.object(
-        exactlp, "_simplex_solve", fraction_simplex._simplex_solve
-    ):
+    with mock.patch.object(exactlp, "_simplex_solve", reference_simplex):
         return solve(system)
 
 
@@ -42,10 +57,17 @@ coefficients = st.one_of(
 )
 
 
+def integer_row(coeffs, rhs):
+    """The rational row `coeffs . x ? rhs` times the lcm of its coefficient
+    denominators: `int` coefficients, the rhs still a Fraction."""
+    k = lcm(*(a.denominator for a in coeffs))
+    return [int(a * k) for a in coeffs], rhs * k
+
+
 @st.composite
 def systems(draw):
     nvars = draw(st.integers(1, 4))
-    sys = LinearSystem(variables=[f"x{j}" for j in range(nvars)])
+    sys = LinearSystem(nvars)
     vector = st.lists(coefficients, min_size=nvars, max_size=nvars)
     rows = []
     for _ in range(draw(st.integers(1, 6))):
@@ -56,22 +78,20 @@ def systems(draw):
             k = draw(st.integers(1, 4))
             row = ([a * k for a in coeffs], rel, rhs * k)
         else:
-            coeffs = draw(vector) if kind == "row" else [Fraction(0)] * nvars
-            row = (
-                coeffs,
-                draw(st.sampled_from([LEQ, EQ, LT])),
-                draw(coefficients),
-            )
+            if kind == "row":
+                coeffs, rhs = integer_row(draw(vector), draw(coefficients))
+            else:
+                coeffs, rhs = [0] * nvars, draw(coefficients)
+            row = (coeffs, draw(st.sampled_from([LEQ, EQ, LT])), rhs)
         rows.append(row)
-        sys.constraints.append(Constraint(tuple(row[0]), row[1], row[2]))
+        sys.add(*row)
     if draw(st.booleans()):
-        for j in range(nvars):  # a box, so most optima are bounded
+        for j in range(nvars):  # a box, so the region is bounded
             bound = draw(st.integers(1, 10))
-            sys.leq({f"x{j}": 1}, bound)
-            sys.geq({f"x{j}": 1}, -bound)
-    sense = draw(st.sampled_from([None, "max", "min"]))
-    if sense is not None:
-        sys.objective = (tuple(draw(vector)), sense)
+            e = [0] * nvars
+            e[j] = 1
+            sys.leq(e, bound)
+            sys.leq([-a for a in e], bound)
     return sys
 
 
@@ -87,17 +107,21 @@ def test_polytope_systems_of_j5_match_reference():
     for v in games:
         result = assert_same(polytope_system(v))
         assert result.feasible  # every game on 5 voters is weighted
-        sys = polytope_system(v)
-        sys.maximize({"q": 1, "w1": -1})
+        # The same half-spaces all strict: many strict rows in the margin
+        # pass, as in `interior_point`.
+        sys = weight_system(v.n)
+        for hs in generating_halfspaces(v):
+            add_halfspace(sys, hs, "strict")
         assert assert_same(sys).feasible
 
 
 def test_artificials_enter_at_their_rows_scale():
-    # Two artificial rows with integer scales 2 and 4.  Seeding an
-    # artificial with 1 instead of its row's scale reweights the phase-one
-    # costs of the two rows, and Bland's rule then reaches another vertex.
-    sys = LinearSystem(variables=["x", "y", "z"])
-    sys.eq({"x": Fraction(-1, 2), "y": -1, "z": 1}, -2)
-    sys.eq({"x": Fraction(1, 4), "y": Fraction(3, 2), "z": -1}, -1)
-    sys.leq({"x": Fraction(-1, 2), "y": -1}, Fraction(2, 3))
-    assert assert_same(sys).point == {"x": 8, "y": -2, "z": 0}
+    # Two artificial rows with scales 2 and 3, from their rhs denominators.
+    # Seeding an artificial with 1 instead of its row's scale reweights the
+    # phase-one costs of the two rows, and Bland's rule then reaches
+    # another vertex.
+    sys = LinearSystem(3)
+    sys.eq([2, -2, 0], Fraction(-3, 2))
+    sys.eq([2, 2, 2], Fraction(2, 3))
+    sys.leq([2, -1, 0], 0)
+    assert assert_same(sys).point == (Fraction(-5, 24), Fraction(13, 24), 0)

@@ -23,7 +23,7 @@ from lineargames import (
     verify_realization,
 )
 from lineargames import weightedness
-from lineargames.weightedness import polytope_system
+from lineargames.weightedness import difference_terms, polytope_system
 
 from oracles import brute_realizes
 from test_games import all_games
@@ -283,7 +283,7 @@ class TestFootprintGeometryExample:
         # The plane w9 = w4 + w1 misses the footprint of <987;8741>.
         v = parse_game("<987;8741>", 9)
         sys = polytope_system(v)
-        sys.eq({"w9": Fraction(1), "w4": Fraction(-1), "w1": Fraction(-1)}, 0)
+        sys.eq(difference_terms(9, 1 << 8, 1 << 3 | 1), 0)  # w9 - w4 - w1
         assert strictly_feasible(sys) is None
 
 
