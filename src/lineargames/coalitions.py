@@ -63,12 +63,6 @@ class Coalition:
         """Sum of member indices; the grading of the coalitions poset."""
         return sum(self.members())
 
-    def with_voter(self, i: int) -> "Coalition":
-        return Coalition(self.n, self.mask | 1 << (i - 1))
-
-    def without_voter(self, i: int) -> "Coalition":
-        return Coalition(self.n, self.mask & ~(1 << (i - 1)))
-
     def __str__(self) -> str:
         return format_coalition(self)
 
@@ -132,17 +126,6 @@ def cover_successors_mask(mask: int, n: int) -> list[int]:
     for i in range(1, n):  # bump voter i -> i+1 (bits i-1 -> i)
         if mask >> (i - 1) & 1 and not mask >> i & 1:
             out.append(mask & ~(1 << (i - 1)) | 1 << i)
-    return out
-
-
-def cover_predecessors_mask(mask: int, n: int) -> list[int]:
-    """Masks covered by `mask` (rank -1 moves): inverse of the successors."""
-    out = []
-    if mask & 1:
-        out.append(mask & ~1)
-    for i in range(2, n + 1):  # lower voter i -> i-1 when i-1 is free
-        if mask >> (i - 1) & 1 and not mask >> (i - 2) & 1:
-            out.append(mask & ~(1 << (i - 1)) | 1 << (i - 2))
     return out
 
 

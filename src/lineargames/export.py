@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 
-from .coalitions import CoalitionPoset, format_coalition
+from .coalitions import Coalition, CoalitionPoset, format_coalition
 from .games import format_game, game_to_json
 from .posets import GamePoset
 
@@ -46,8 +46,6 @@ def poset_to_csv(p: GamePoset) -> str:
 
 
 def m_poset_to_dot(p: CoalitionPoset) -> str:
-    from .coalitions import Coalition
-
     lines = ["digraph coalitions {", "  rankdir=BT;"]
     by_rank: dict[int, list[int]] = {}
     for m in range(1 << p.n):

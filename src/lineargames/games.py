@@ -4,20 +4,28 @@ A game is stored as its winning bitmap: an int over the 2^n coalition
 masks, bit m set iff mask m wins.  The bitmap is a filter (an up-set of the
 shift order) that holds the grand coalition and not the empty one.  Games
 are equal iff their voter counts and bitmaps are, and each cover move of
-the games poset adds or removes one bit.  The generators, the shift-minimal
-winning coalitions, are derived from the bitmap on first use.
+the games poset adds or removes one bit.
+
+A cover move of the coalitions poset shifts a whole bitmap.  A cached
+per-n table holds one (offset, source bitmap) pair per move: offset 1 from
+the masks without voter 1, offset 2^(i-1) from the masks holding voter i
+but not voter i+1.  The masks one move above a set B are then the OR of
+`(B & source) << offset`, those one move below the OR of
+`(B >> offset) & source`.  So the generators (the winners no move reaches
+from a winner) and the shift-maximal losers (the nonempty losers no move
+leaves the losers from) are bit sets, listed in canonical order on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .coalitions import (
     MAX_VOTERS,
     Coalition,
     CoalitionError,
     canonical_order,
-    cover_predecessors_mask,
     cover_successors_mask,
     format_coalition,
     grand_coalition,
@@ -39,15 +47,54 @@ def _up_closure(bits: int, n: int) -> int:
     return bits
 
 
-def _shift_minimal(bits: int, n: int) -> list[int]:
-    """The masks in `bits` that cover no mask in `bits`, in canonical order:
-    the generators of the filter `bits`."""
-    return [
-        m
-        for m in canonical_order(n)
-        if bits >> m & 1
-        and not any(bits >> lo & 1 for lo in cover_predecessors_mask(m, n))
-    ]
+@lru_cache(maxsize=None)
+def _holding(n: int) -> tuple[int, ...]:
+    """Entry i - 1 is the bitmap of the masks that hold voter i: from the
+    top, 2^(i-1) set bits and 2^(i-1) clear ones, repeated."""
+    return tuple(
+        int(("1" * (1 << k) + "0" * (1 << k)) * (1 << (n - 1 - k)), 2) for k in range(n)
+    )
+
+
+@lru_cache(maxsize=None)
+def _moves(n: int) -> tuple[tuple[int, int], ...]:
+    """The (offset, source bitmap) pair of each cover move on n voters: add
+    voter 1 to a mask without it, or move voter k + 1 up to a free k + 2."""
+    has = _holding(n)
+    return ((1, ~has[0]),) + tuple((1 << k, has[k] & ~has[k + 1]) for k in range(n - 1))
+
+
+def _generator_set(bits: int, n: int) -> int:
+    """The masks of the filter `bits` that cover no mask in it."""
+    up = 0
+    for offset, source in _moves(n):
+        up |= (bits & source) << offset
+    return bits & ~up
+
+
+def _loser_set(bits: int, n: int) -> int:
+    """The nonempty masks outside the filter `bits` whose every cover
+    successor is in it."""
+    losing = (1 << (1 << n)) - 1 ^ bits
+    down = 0
+    for offset, source in _moves(n):
+        down |= losing >> offset & source
+    return losing & ~down & ~1
+
+
+@lru_cache(maxsize=None)
+def _positions(n: int) -> dict[int, int]:
+    """Position of each mask in `canonical_order(n)`."""
+    return {m: p for p, m in enumerate(canonical_order(n))}
+
+
+def _canonical_masks(bits: int, n: int) -> list[int]:
+    """The masks in the bit set `bits`, in canonical order."""
+    masks = []
+    while bits:
+        masks.append((bits & -bits).bit_length() - 1)
+        bits &= bits - 1
+    return sorted(masks, key=_positions(n).__getitem__)
 
 
 def _complements(bits: int, n: int) -> int:
@@ -103,7 +150,8 @@ class LinearGame:
         """The shift-minimal winning coalitions, in canonical order."""
         if self._generators is None:
             self._generators = tuple(
-                Coalition(self.n, m) for m in _shift_minimal(self._bits, self.n)
+                Coalition(self.n, m)
+                for m in _canonical_masks(_generator_set(self._bits, self.n), self.n)
             )
         return self._generators
 
@@ -130,14 +178,8 @@ class LinearGame:
         An empty result means the empty coalition is the only loser (the
         game just below the excluded all-winning boundary).
         """
-        bits, n = self._bits, self.n
-        return [
-            Coalition(n, m)
-            for m in canonical_order(n)
-            if m
-            and not bits >> m & 1
-            and all(bits >> up & 1 for up in cover_successors_mask(m, n))
-        ]
+        n = self.n
+        return [Coalition(n, m) for m in _canonical_masks(_loser_set(self._bits, n), n)]
 
     def dual(self) -> "LinearGame":
         """The dual game: A wins in the dual iff its complement loses here."""
@@ -170,26 +212,20 @@ class LinearGame:
         )  # unreachable for games built from antichains of the shift order
 
     def _at_least_as_desirable(self, i: int, j: int) -> bool:
-        """S + j wins implies S + i wins, for every S avoiding i and j."""
-        bits = self._bits
-        bi, bj = 1 << (i - 1), 1 << (j - 1)
-        return not any(
-            bits >> (s | bj) & 1 and not bits >> (s | bi) & 1
-            for s in range(1 << self.n)
-            if not s & (bi | bj)
-        )
+        """S + j wins implies S + i wins, for every S avoiding i and j:
+        bit S of `bits >> 2^(j-1)` says whether S + j wins."""
+        bits, has = self._bits, _holding(self.n)
+        avoiding = ~has[i - 1] & ~has[j - 1]
+        return not bits >> (1 << (j - 1)) & ~(bits >> (1 << (i - 1))) & avoiding
 
     def dummies(self) -> list[int]:
         """Voters appearing in no minimal winning coalition: no winning
         coalition loses when they leave it."""
-        bits = self._bits
+        bits, has = self._bits, _holding(self.n)
         return [
             i
             for i in range(self.n, 0, -1)
-            if not any(
-                bits >> m & 1 and not bits >> (m & ~(1 << (i - 1))) & 1
-                for m in range(1 << self.n)
-            )
+            if not (bits & has[i - 1]) >> (1 << (i - 1)) & ~bits
         ]
 
     def hierarchy(self) -> "Hierarchy":
@@ -203,13 +239,9 @@ class LinearGame:
         """
         if not self.n <= m <= MAX_VOTERS:
             raise GameError(f"cannot induce from {self.n} to {m} voters")
-        shift = m - self.n
-        block = (1 << (1 << shift)) - 1
-        bits = 0
-        for w in range(1 << self.n):
-            if self._bits >> w & 1:
-                bits |= block << (w << shift)
-        return LinearGame._from_bitmap(m, bits)
+        width = 1 << (m - self.n)
+        text = f"{self._bits:0{1 << self.n}b}"
+        return LinearGame._from_bitmap(m, int("".join(c * width for c in text), 2))
 
 
 @dataclass(frozen=True)
@@ -261,7 +293,7 @@ def j_covers(v: LinearGame) -> list[LinearGame]:
     bits = v.winning_bitmap()
     return [
         LinearGame._from_bitmap(v.n, bits & ~(1 << g.mask))
-        for g in v.generators
+        for g in v.generators  # cached on v: cheaper than the bit set
         # removing the last winner would leave the excluded trivial game
         if bits != 1 << g.mask
     ]
@@ -269,10 +301,10 @@ def j_covers(v: LinearGame) -> list[LinearGame]:
 
 def j_covered(v: LinearGame) -> list[LinearGame]:
     """Games covered by v: add one shift-maximal losing coalition."""
-    bits = v.winning_bitmap()
+    bits, n = v.winning_bitmap(), v.n
     return [
-        LinearGame._from_bitmap(v.n, bits | 1 << b.mask)
-        for b in v.shift_maximal_losing()
+        LinearGame._from_bitmap(n, bits | 1 << b)
+        for b in _canonical_masks(_loser_set(bits, n), n)
     ]
 
 

@@ -1,17 +1,21 @@
 """Game posets: construction, interrogation, chains, and paper probes.
 
 Linear games on n voters are the filters of the coalitions poset; the
-poset of all of them is enumerated by growing filters downward from the
-consensus game, adding one shift-maximal losing coalition per step (each
-step is a cover edge in reverse).  Restricted kinds keep only proper,
-weighted, or top-half nodes, with the cover edges induced among them.
+poset of all of them is enumerated by growing winning bitmaps downward
+from the consensus game, adding one shift-maximal losing coalition per
+step (each step is a cover edge in reverse).  The walk works on the
+bitmaps alone and makes one game per node found.  Restricted kinds keep
+only proper, weighted, or top-half nodes, with the cover edges induced
+among them.
 """
 
 from __future__ import annotations
 
 import itertools
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import comb
 from typing import Optional
@@ -21,6 +25,8 @@ from .exactlp import strictly_feasible
 from .games import (
     GameError,
     LinearGame,
+    _canonical_masks,
+    _loser_set,
     consensus_game,
     format_game,
     j_covered,
@@ -62,17 +68,9 @@ class GamePoset:
         except KeyError:
             raise PosetError(f"{v} is not a node of this poset") from None
 
-    @property
+    @cached_property
     def _index(self) -> dict:
-        if not hasattr(self, "_index_cache"):
-            object.__setattr__(
-                self, "_index_cache", {v: i for i, v in enumerate(self.nodes)}
-            )
-        return self._index_cache
-
-    def rank_of(self, v: LinearGame) -> int:
-        self.index_of(v)
-        return v.rank()
+        return {v: i for i, v in enumerate(self.nodes)}
 
     def dual_of(self, v: LinearGame) -> Optional[LinearGame]:
         """The dual node, or None when it lies outside this (sub)poset."""
@@ -80,23 +78,28 @@ class GamePoset:
         d = v.dual()
         return d if d in self._index else None
 
+    @cached_property
+    def _adjacency(self) -> tuple[list[list[int]], list[list[int]]]:
+        """(up, down): up[i] lists the indices of the nodes covering node
+        i, down[i] those it covers, each in increasing order."""
+        up, down = [[] for _ in self.nodes], [[] for _ in self.nodes]
+        for lo, hi in sorted(self.cover_edges):
+            up[lo].append(hi)
+            down[hi].append(lo)
+        return up, down
+
     def covers_of(self, v: LinearGame) -> list[LinearGame]:
-        i = self.index_of(v)
-        return [self.nodes[hi] for lo, hi in self.cover_edges if lo == i]
+        return [self.nodes[hi] for hi in self._adjacency[0][self.index_of(v)]]
 
     def covered_by(self, v: LinearGame) -> list[LinearGame]:
-        i = self.index_of(v)
-        return [self.nodes[lo] for lo, hi in self.cover_edges if hi == i]
+        return [self.nodes[lo] for lo in self._adjacency[1][self.index_of(v)]]
 
     def minimal_nodes(self) -> list[LinearGame]:
-        uppers = {hi for _, hi in self.cover_edges}
-        return [v for i, v in enumerate(self.nodes) if i not in uppers]
+        down = self._adjacency[1]
+        return [v for i, v in enumerate(self.nodes) if not down[i]]
 
     def rank_histogram(self) -> dict[int, int]:
-        hist: dict[int, int] = {}
-        for v in self.nodes:
-            hist[v.rank()] = hist.get(v.rank(), 0) + 1
-        return dict(sorted(hist.items()))
+        return dict(sorted(Counter(v.rank() for v in self.nodes).items()))
 
 
 def build_poset(n: int, kind: str = "J", force: bool = False) -> GamePoset:
@@ -114,35 +117,29 @@ def build_poset(n: int, kind: str = "J", force: bool = False) -> GamePoset:
             stacklevel=2,
         )
 
-    # Grow filters downward from consensus; each added shift-maximal losing
-    # coalition is one reversed cover edge.
-    top = consensus_game(n)
-    all_nodes = [top]
-    index = {top: 0}
+    # Grow winning bitmaps downward from consensus; each added shift-maximal
+    # losing coalition is one reversed cover edge.
+    all_bits = [1 << (1 << n) - 1]  # winning bitmaps, in discovery order
+    index = {all_bits[0]: 0}
     edges: list[tuple[int, int]] = []  # (lower, upper)
-    frontier = [top]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            vi = index[v]
-            for u in j_covered(v):
-                if u not in index:
-                    index[u] = len(all_nodes)
-                    all_nodes.append(u)
-                    nxt.append(u)
-                edges.append((index[u], vi))
-        frontier = nxt
+    for vi, bits in enumerate(all_bits):  # grows while it is walked
+        for b in _canonical_masks(_loser_set(bits, n), n):
+            u = bits | 1 << b
+            if u not in index:
+                index[u] = len(all_bits)
+                all_bits.append(u)
+            edges.append((index[u], vi))
 
-    keep = [i for i, v in enumerate(all_nodes) if _kind_filter(v, kind)]
-    keep_set = set(keep)
-    ordered = sorted(keep, key=lambda i: _node_key(all_nodes[i]))
+    games = [LinearGame._from_bitmap(n, bits) for bits in all_bits]
+    keep = [i for i, v in enumerate(games) if _kind_filter(v, kind)]
+    ordered = sorted(keep, key=lambda i: _node_key(games[i]))
     renum = {old: new for new, old in enumerate(ordered)}
-    nodes = tuple(all_nodes[i] for i in ordered)
+    nodes = tuple(games[i] for i in ordered)
     kept_edges = tuple(
         sorted(
             (renum[lo], renum[hi])
             for lo, hi in edges
-            if lo in keep_set and hi in keep_set
+            if lo in renum and hi in renum
         )
     )
     return GamePoset(n, kind, nodes, kept_edges)
@@ -199,12 +196,8 @@ def one_generator_proper_list(n: int) -> list[Coalition]:
 
 def symmetric_game_counts(n: int) -> dict[str, int]:
     """Counts of symmetric games: C(n+1, 2) total, closed-form proper count."""
-    total = comb(n + 1, 2)
-    if n % 2 == 0:
-        proper = (n * n + 2 * n) // 4
-    else:
-        proper = (n * n + 2 * n + 1) // 4
-    return {"total": total, "proper": proper}
+    # proper: (n^2 + 2n) / 4 for even n, (n^2 + 2n + 1) / 4 for odd n
+    return {"total": comb(n + 1, 2), "proper": (n * n + 2 * n + n % 2) // 4}
 
 
 def symmetric_games(n: int) -> list[LinearGame]:
@@ -231,13 +224,8 @@ class GeneratorOrder:
     top_generators: tuple[Coalition, ...]
 
     def ordered_pairs(self) -> list[tuple[Coalition, Coalition]]:
-        pairs = []
-        for a, b in itertools.combinations(self.sequence, 2):
-            pairs.append((a, b))
-        for a in self.sequence:
-            for g in self.top_generators:
-                pairs.append((a, g))
-        return pairs
+        seq, tops = self.sequence, self.top_generators
+        return [*itertools.combinations(seq, 2), *itertools.product(seq, tops)]
 
 
 @dataclass(frozen=True)
@@ -349,20 +337,15 @@ def enumerate_maximal_chains(
 ) -> ChainEnumeration:
     """All maximal saturated chains of a built poset, depth-first, in
     canonical node order; truncated (with flag) once `limit` is hit."""
-    up: dict[int, list[int]] = {}
-    for lo, hi in p.cover_edges:
-        up.setdefault(lo, []).append(hi)
-    has_lower = {hi for _, hi in p.cover_edges}
-    starts = [i for i in range(len(p.nodes)) if i not in has_lower]
-    for lst in up.values():
-        lst.sort()
+    up, down = p._adjacency
+    starts = [i for i in range(len(p.nodes)) if not down[i]]
 
     chains: list[tuple[LinearGame, ...]] = []
     truncated = False
 
     def dfs(i: int, path: list[int]) -> bool:
         nonlocal truncated
-        nexts = up.get(i, [])
+        nexts = up[i]
         if not nexts:
             chains.append(tuple(p.nodes[t] for t in path))
             if limit is not None and len(chains) >= limit:
@@ -399,18 +382,14 @@ def probe_induced_conjecture(n: int) -> InducedProbe:
     weighted_idx = [
         i for i, v in enumerate(poset.nodes) if is_weighted(v) is not None
     ]
-    wset = set(weighted_idx)
-    up: dict[int, list[int]] = {}
-    for lo, hi in poset.cover_edges:
-        if lo in wset and hi in wset:
-            up.setdefault(lo, []).append(hi)
-
+    up = poset._adjacency[0]
     pos = {i: t for t, i in enumerate(weighted_idx)}
     reach = [0] * len(weighted_idx)  # bitset over weighted node positions
     for i in sorted(weighted_idx, key=lambda i: -poset.nodes[i].rank()):
         acc = 0
-        for j in up.get(i, []):
-            acc |= reach[pos[j]] | (1 << pos[j])
+        for j in up[i]:
+            if j in pos:
+                acc |= reach[pos[j]] | (1 << pos[j])
         reach[pos[i]] = acc
 
     bitmaps = [poset.nodes[i].winning_bitmap() for i in weighted_idx]

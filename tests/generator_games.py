@@ -4,19 +4,32 @@
 The code below is kept verbatim: `LinearGame.__init__` drops dominated
 generators pairwise with `shift_leq_masks`, `winning_bitmap` tests every
 coalition against every generator, and `dual`, `j_covers` and `j_covered`
-rebuild each game from a generator list.  The differential
-tests in `test_games_differential.py` require the bitmap construction to
-agree with this code on every game they build.
+rebuild each game from a generator list.  `cover_predecessors_mask`, the
+per-mask predecessor list they use, is kept here verbatim as well: the
+library reads generators off the bitmap with whole-bitmap shifts and no
+longer has it.  The differential tests in `test_games_differential.py`
+require the bitmap construction to agree with this code on every game
+they build.
 """
 
 from lineargames.coalitions import (
     Coalition,
-    cover_predecessors_mask,
     cover_successors_mask,
     empty_coalition,
     shift_leq_masks,
 )
 from lineargames.games import GameError
+
+
+def cover_predecessors_mask(mask: int, n: int) -> list[int]:
+    """Masks covered by `mask` (rank -1 moves): inverse of the successors."""
+    out = []
+    if mask & 1:
+        out.append(mask & ~1)
+    for i in range(2, n + 1):  # lower voter i -> i-1 when i-1 is free
+        if mask >> (i - 1) & 1 and not mask >> (i - 2) & 1:
+            out.append(mask & ~(1 << (i - 1)) | 1 << (i - 2))
+    return out
 
 
 def _canonical_key(n: int, mask: int):

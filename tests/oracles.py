@@ -7,6 +7,7 @@ exact vertex enumeration for both LP systems and polytope facets.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from lineargames import BOTTOM, TOP, VERTICAL, Coalition, LinearGame
@@ -37,6 +38,34 @@ def brute_winning_masks(v: LinearGame) -> set[int]:
     return brute_up_set(v.n, [g.members() for g in v.generators])
 
 
+@lru_cache(maxsize=None)
+def _brute_cover_successors(n: int) -> tuple[tuple[int, ...], ...]:
+    """Per mask, the masks covering it: shift-above it with a member sum
+    one larger (the coalitions poset is graded by member sum)."""
+    members = [[i + 1 for i in range(n) if m >> i & 1] for m in range(1 << n)]
+    return tuple(
+        tuple(
+            b
+            for b in range(1 << n)
+            if sum(members[b]) == sum(members[a]) + 1
+            and brute_shift_leq(members[a], members[b])
+        )
+        for a in range(1 << n)
+    )
+
+
+def brute_shift_maximal_losing(v: LinearGame) -> set[int]:
+    """Masks of the nonempty losing coalitions whose every cover
+    successor wins."""
+    win = brute_winning_masks(v)
+    successors = _brute_cover_successors(v.n)
+    return {
+        m
+        for m in range(1, 1 << v.n)
+        if m not in win and all(s in win for s in successors[m])
+    }
+
+
 def brute_at_least_as_desirable(v: LinearGame, i: int, j: int) -> bool:
     """Definition check: S+j winning implies S+i winning, all S avoiding both."""
     win = brute_winning_masks(v)
@@ -47,6 +76,17 @@ def brute_at_least_as_desirable(v: LinearGame, i: int, j: int) -> bool:
         if (m | bj) in win and (m | bi) not in win:
             return False
     return True
+
+
+def brute_dummies(v: LinearGame) -> set[int]:
+    """Voters i such that every winning coalition holding i still wins
+    without i."""
+    win = brute_winning_masks(v)
+    return {
+        i
+        for i in range(1, v.n + 1)
+        if all(m & ~(1 << (i - 1)) in win for m in win if m >> (i - 1) & 1)
+    }
 
 
 def brute_realizes(v: LinearGame, r) -> bool:

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lineargames
 from lineargames import parse_game, parse_realization, verify_realization
-from lineargames.cli import run
+from lineargames.cli import main, run
 
 
 def capture(capsys, argv):
@@ -232,3 +237,30 @@ class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 2
         capsys.readouterr()
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "<321;43>", "-n", "4"],  # exit 0
+            ["realize", "<6531>", "-n", "7"],  # unweighted: exit 1
+            ["classify", "321;43", "-n", "4"],  # usage error: exit 2
+        ],
+        ids=["success", "verdict", "usage"],
+    )
+    def test_python_m_matches_main(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(sys, "argv", ["lineargames", *argv])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        want = capsys.readouterr().out
+        src = str(Path(lineargames.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        got = subprocess.run(
+            [sys.executable, "-m", "lineargames", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert got.returncode == exc.value.code
+        assert got.stdout == want

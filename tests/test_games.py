@@ -21,6 +21,7 @@ from lineargames import (
 
 from oracles import (
     brute_at_least_as_desirable,
+    brute_dummies,
     brute_up_set,
     brute_winning_masks,
     random_linear_game,
@@ -166,6 +167,16 @@ class TestDesirability:
                         else:
                             assert verdict == "less"
 
+    def test_every_pair_matches_definition(self):
+        for n in range(2, 6):
+            for v in all_games(n):
+                for i in range(1, n + 1):
+                    for j in range(1, n + 1):
+                        if i != j:
+                            assert v._at_least_as_desirable(
+                                i, j
+                            ) == brute_at_least_as_desirable(v, i, j)
+
     def test_totality_small_n(self):
         # desirability never raises for games built from shift antichains
         for n in range(2, 6):
@@ -181,6 +192,12 @@ class TestDesirability:
 
 
 class TestHierarchy:
+    def test_dummies_match_definition(self):
+        for n in range(1, 6):
+            for v in all_games(n):
+                assert set(v.dummies()) == brute_dummies(v)
+                assert v.dummies() == sorted(v.dummies(), reverse=True)
+
     def test_classes_are_contiguous_runs(self):
         for n in range(1, 6):
             for v in all_games(n):
@@ -221,6 +238,17 @@ class TestInduced:
     def test_identity(self):
         v = parse_game("<321;43>", 4)
         assert v.induce(4) == v
+
+    def test_matches_definition(self):
+        # a coalition of m voters wins iff its members above the m - n
+        # added dummies win in the original game
+        for v in all_games(4):
+            win = brute_winning_masks(v)
+            for m in (4, 5, 6):
+                bits = v.induce(m).winning_bitmap()
+                assert {c for c in range(1 << m) if bits >> c & 1} == {
+                    c for c in range(1 << m) if c >> (m - 4) in win
+                }
 
     def test_rank_doubles(self):
         for v in all_games(4):

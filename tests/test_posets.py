@@ -37,7 +37,9 @@ class TestBuild:
     def test_seven_voter_count(self):
         # |J_7| = 44,313 (Kurz & Tautenhahn, IJGT 42, 2013)
         with pytest.warns(UserWarning):
-            assert len(build_poset(7, "J", force=True).nodes) == 44313
+            p = build_poset(7, "J", force=True)
+        assert len(p.nodes) == 44313
+        assert len(p.cover_edges) == 190160
 
     def test_restricted_kinds_match_filters(self):
         for n in (3, 4, 5):
@@ -87,6 +89,19 @@ class TestStructure:
                 assert sorted(
                     p.covers_of(v), key=lambda g: g.winning_bitmap()
                 ) == sorted(j_covers(v), key=lambda g: g.winning_bitmap())
+
+    def test_neighbor_lists_follow_edge_order(self):
+        for n in (3, 4, 5):
+            for kind in ("J", "Pi"):
+                p = build_poset(n, kind)
+                for i, v in enumerate(p.nodes):
+                    edges = p.cover_edges
+                    assert p.covers_of(v) == [p.nodes[hi] for lo, hi in edges if lo == i]
+                    assert p.covered_by(v) == [p.nodes[lo] for lo, hi in edges if hi == i]
+                uppers = {hi for _, hi in p.cover_edges}
+                assert p.minimal_nodes() == [
+                    v for i, v in enumerate(p.nodes) if i not in uppers
+                ]
 
     def test_dual_reverses_edges(self):
         for n in (3, 4, 5):
