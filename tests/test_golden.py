@@ -6,6 +6,9 @@ every LP the library builds.  They are not unique answers; they are pinned
 so that a change to how the LPs are built or solved shows up here when it
 moves any printed point.  Recompute them only for a change that means to
 move the points, and say so where the change is recorded.
+
+The trade-search and `classify --certify` cases pin trade certificates,
+which are unique: the first trade failure in the search order.
 """
 
 import pytest
@@ -189,6 +192,37 @@ CLI_CASES = [
             "  <54321>  rank 31\n"
             "removal order: 1 < 2 < 21 < 3 < 4 < 31 < 5 < 41 < 32 < 51 < 42 < 321 < 52 < 421 < 43 < 521 < 53 < 431 < 54 < 531 < 432 < 541 < 532 < 4321 < 542 < 5321 < 5421 < 543 < 5431 < 5432\n"
             "consistent; witness weights (14/45,4/15,2/9,2/15,1/15)\n"
+        ),
+    ),
+    (
+        ["trade-search", "<6531>", "-n", "7"],
+        0,
+        "trade failure: X = {6531, 7542} -> Y = {54321, 765}\n",
+    ),
+    (
+        ["trade-search", "<8741>", "-n", "9", "--bound", "2"],
+        0,
+        "trade failure: X = {8741, 9752} -> Y = {75421, 987}\n",
+    ),
+    (
+        ["trade-search", "<63;5421>", "-n", "6"],
+        0,
+        "trade failure: X = {63, 5421} -> Y = {621, 543}\n",
+    ),
+    (
+        ["trade-search", "<62;54;4321>", "-n", "6"],
+        0,
+        "no trade failure with at most 3 coalitions; LP verdict: weighted\n",
+    ),
+    (
+        ["classify", "<6531>", "-n", "7", "--certify"],
+        0,
+        (
+            "<6531>: linear, proper, unweighted\n"
+            "rank 83 of 128\n"
+            "dual <4321;65;543>\n"
+            "power composition (3, 2, 2), dummies []\n"
+            "trade failure: X = {6531, 7542} -> Y = {54321, 765}\n"
         ),
     ),
 ]
