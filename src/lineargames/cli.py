@@ -17,12 +17,16 @@ verdict, which is one of:
 - `trade-search` on an unweighted game when no trade failure is found
   within the bound;
 - `conjecture-probe` finding a counterexample.
+
+A reader that closes stdout early (`| head`) ends the command with exit 0
+and no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -398,7 +402,14 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0,) else 0
     try:
-        return args.func(args, parser)
+        code = args.func(args, parser)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (`| head`): send what is left, and
+        # the flush at exit, to the null device.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except SystemExit as exc:  # parser.error inside a handler
         return USAGE_ERROR if exc.code not in (0,) else 0
     except (GameError, CoalitionError, PosetError, LPError) as exc:

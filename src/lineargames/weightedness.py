@@ -19,9 +19,9 @@ top row and q > w_B >= 0 from a bottom row.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import lcm
 from typing import Optional
 
@@ -288,63 +288,52 @@ def find_trade_failure(
     """Search for a trade failure with |X| = |Y| <= max_coalitions.
 
     Complete at the given bound; None proves nothing (is_weighted does).
-    Search order: increasing |X|, then coalition rank order, so results
-    are deterministic.
+    Search order: increasing |X|, then the first X and for it the first Y
+    in `combinations_with_replacement` order over the coalitions in rank
+    order, so results are deterministic.
+
+    A coalition is read as its spread: voter i's bit moved to digit i, in
+    digits of max_coalitions.bit_length() bits.  A digit holds any count
+    up to max_coalitions, so sums of that many spreads never carry, and
+    equal sums mean equal per-voter counts.  Round j adds one losing coalition to the sums
+    of the losing (j - 1)-multisets, walks the winning j-multisets to the
+    first whose sum is among them, then the losing ones to the first with
+    that sum.  With W winning and L losing coalitions, the set holds at
+    most (j + 1)^n sums, and round j takes
+    O(j (C(W + j - 1, j) + C(L + j - 1, j))) additions.
     """
     if max_coalitions < 2:
         raise GameError("trade search needs a bound of at least 2")
     n = v.n
     bits = v.winning_bitmap()
-    winning = [m for m in canonical_order(n) if bits >> m & 1]
-    losing = [m for m in canonical_order(n) if not bits >> m & 1]
+    width = max_coalitions.bit_length()
+    mask_of, winning, losing = {}, [], []
+    for m in canonical_order(n):
+        spread = sum(1 << width * i for i in range(n) if m >> i & 1)
+        mask_of[spread] = m
+        (winning if bits >> m & 1 else losing).append(spread)
+    losing_sums = set(losing)
     for j in range(2, max_coalitions + 1):
-        for xs in itertools.combinations_with_replacement(winning, j):
-            counts = [0] * n
-            for m in xs:
-                for i in range(n):
-                    counts[i] += m >> i & 1
-            ys = _losing_rearrangement(counts, j, losing, bits, n)
-            if ys is not None:
-                cert = TradeCertificate(
-                    tuple(Coalition(n, m) for m in xs),
-                    tuple(Coalition(n, m) for m in ys),
-                )
-                if not check_certificate(v, cert):
-                    raise LPError(f"trade search produced a bad certificate {cert}")
-                return cert
+        losing_sums = {s + y for s in losing_sums for y in losing}
+        xs = next(
+            (xs for xs in combinations_with_replacement(winning, j)
+             if sum(xs) in losing_sums),
+            None,
+        )
+        if xs is None:
+            continue
+        ys = next(
+            ys for ys in combinations_with_replacement(losing, j)
+            if sum(ys) == sum(xs)
+        )
+        cert = TradeCertificate(
+            tuple(Coalition(n, mask_of[s]) for s in xs),
+            tuple(Coalition(n, mask_of[s]) for s in ys),
+        )
+        if not check_certificate(v, cert):
+            raise LPError(f"trade search produced a bad certificate {cert}")
+        return cert
     return None
-
-
-def _losing_rearrangement(counts, j, losing, bits, n):
-    """DFS for j losing coalitions with the given per-voter counts."""
-
-    def rec(remaining, slots, start):
-        if slots == 0:
-            return [] if all(c == 0 for c in remaining) else None
-        if any(c > slots for c in remaining):
-            return None
-        support = 0
-        for i in range(n):
-            if remaining[i] > 0:
-                support |= 1 << i
-        must = 0  # voters that must appear in every remaining coalition
-        for i in range(n):
-            if remaining[i] == slots:
-                must |= 1 << i
-        for idx in range(start, len(losing)):
-            m = losing[idx]
-            if m & ~support or must & ~m:
-                continue
-            nxt = remaining[:]
-            for i in range(n):
-                if m >> i & 1:
-                    nxt[i] -= 1
-            sub = rec(nxt, slots - 1, idx)
-            if sub is not None:
-                return [m] + sub
-        return None
-
-    return rec(list(counts), j, 0)
 
 
 # -- the footprint method ----------------------------------------------------

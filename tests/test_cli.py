@@ -17,6 +17,13 @@ def capture(capsys, argv):
     return code, out
 
 
+def module_env():
+    """The environment for `python -m lineargames` on this source tree."""
+    src = str(Path(lineargames.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 class TestDeterminism:
     CASES = [
         ["classify", "<6531>", "-n", "7", "--certify"],
@@ -224,6 +231,15 @@ class TestVerifyAndProbe:
         assert code == 0
         assert "LP verdict: weighted" in out
 
+    def test_trade_search_nine_voters_terminates(self, capsys):
+        code, out = capture(
+            capsys, ["trade-search", "<987;8741>", "-n", "9"]
+        )
+        assert code == 0
+        assert out == (
+            "no trade failure with at most 3 coalitions; LP verdict: weighted\n"
+        )
+
 
 class TestUsageErrors:
     def test_bad_game_text(self, capsys):
@@ -254,13 +270,27 @@ class TestModuleEntryPoint:
         with pytest.raises(SystemExit) as exc:
             main()
         want = capsys.readouterr().out
-        src = str(Path(lineargames.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         got = subprocess.run(
             [sys.executable, "-m", "lineargames", *argv],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": path},
+            env=module_env(),
         )
         assert got.returncode == exc.value.code
         assert got.stdout == want
+
+    def test_closed_pipe_is_not_an_error(self):
+        # The output is larger than a pipe's buffer, so the command is
+        # still writing when the reader closes the pipe.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "lineargames", "enumerate", "-n", "6",
+             "--chains", "--limit", "200"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=module_env(),
+        )
+        assert proc.stdout.readline().startswith(b"200 maximal")
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait() == 0
+        assert stderr == b""

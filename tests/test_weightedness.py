@@ -5,6 +5,7 @@ import pytest
 
 from lineargames import (
     Coalition,
+    build_poset,
     GameError,
     LPError,
     Realization,
@@ -197,13 +198,20 @@ class TestTradeRobustness:
         assert cert is not None
         assert check_certificate(v, cert)
 
-    def test_sound_on_all_unweighted_six(self):
-        # soundness: whenever a certificate exists, the LP says unweighted
-        rnd = random.Random(23)
-        games = [v for v in all_games(5)]
-        for v in rnd.sample(games, 15):
-            cert = find_trade_failure(v, max_coalitions=2)
-            assert cert is None  # all 5-voter games are weighted
+    def test_complete_on_every_six_voter_game(self):
+        # a trade failure with at most 3 coalitions exists iff the LP
+        # finds no realization, on every game of J_6
+        unweighted = 0
+        for v in build_poset(6).nodes:
+            cert = find_trade_failure(v, max_coalitions=3)
+            assert (cert is not None) == (is_weighted(v) is None), v
+            unweighted += cert is not None
+        assert unweighted == 60
+
+    def test_failed_self_check_raises(self, monkeypatch):
+        monkeypatch.setattr(weightedness, "check_certificate", lambda v, c: False)
+        with pytest.raises(LPError):
+            find_trade_failure(parse_game("<6531>", 7), max_coalitions=2)
 
     def test_bound_validation(self):
         with pytest.raises(GameError):
