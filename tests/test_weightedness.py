@@ -5,11 +5,11 @@ import pytest
 
 from lineargames import (
     Coalition,
-    build_poset,
     GameError,
     LPError,
     Realization,
     TradeCertificate,
+    build_poset,
     check_certificate,
     find_trade_failure,
     footprint_weighted_cover,
